@@ -9,9 +9,11 @@ batch of conditionally independent sites, draw one label per site.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 import numpy as np
 
+from repro.core.params import TIE_POLICIES
 from repro.obs import telemetry as obs
 from repro.util.errors import DataError
 from repro.util.validation import check_positive
@@ -207,64 +209,25 @@ def select_first_to_fire_into(
     rng: np.random.Generator,
     out: np.ndarray,
     scratch: SampleScratch,
+    *,
+    active_lanes: Optional[int] = None,
 ) -> np.ndarray:
     """Fused :func:`select_first_to_fire`: same winners, reused buffers.
 
     Byte-identical to the reference selection for every tie policy and
     TTF dtype, including the RNG stream: the ``random`` policy draws one
     ``rng.random(ttf.shape)`` block exactly as the reference does, just
-    into a reused buffer.  (``random`` still pays one transient
-    ``argsort`` allocation — NumPy's argsort has no ``out=`` — which the
-    allocation-guard test bounds explicitly.)
+    into a reused buffer, and then sorts the uniforms of only the rows
+    that tie (see :func:`_select_into`).  ``active_lanes`` — the number
+    of lanes whose decay-rate code is nonzero, which the fused TTF stage
+    returns — lets the RSU pipeline pick the cheaper of two equivalent
+    branches; the winners never depend on it.
     """
-    n_labels = ttf.shape[-1]
-    if tie_policy == "first":
-        order = np.broadcast_to(np.arange(n_labels, dtype=np.int64), ttf.shape)
-    elif tie_policy == "last":
-        order = np.broadcast_to(
-            np.arange(n_labels - 1, -1, -1, dtype=np.int64), ttf.shape
-        )
-    elif tie_policy == "random":
+    uniforms = None
+    if tie_policy == "random":
         uniforms = scratch.buf("select_uniforms", ttf.shape, np.float64)
         rng.random(out=uniforms)
-        order = np.argsort(uniforms, axis=-1)
-    else:
-        raise DataError(f"unknown tie policy {tie_policy!r}")
-    keys = _selection_keys(ttf, order, scratch)
-    np.argmin(keys, axis=-1, out=out)
-    return out
-
-
-def _selection_keys(
-    ttf: np.ndarray, order: np.ndarray, scratch: SampleScratch
-) -> np.ndarray:
-    """Fused selection-key construction shared by the 2-D and chain-batched
-    ``select_first_to_fire*_into`` paths.  Purely elementwise, so it is
-    shape-agnostic: a ``(K, n_sites, n_labels)`` block produces exactly
-    the keys of K independent ``(n_sites, n_labels)`` calls.
-    """
-    n_labels = ttf.shape[-1]
-    if np.issubdtype(ttf.dtype, np.floating):
-        # Mirror the reference float-key construction op for op:
-        # big * (1.0 + order / (10 * n_labels)) where the TTF is +inf.
-        big = np.float64(1e300)
-        tie_keys = scratch.buf("select_tie_keys", ttf.shape, np.float64)
-        np.divide(order, 10.0 * n_labels, out=tie_keys)
-        np.add(tie_keys, 1.0, out=tie_keys)
-        np.multiply(tie_keys, big, out=tie_keys)
-        infinite = scratch.buf("select_inf_mask", ttf.shape, np.bool_)
-        np.isinf(ttf, out=infinite)
-        keys = scratch.buf("select_float_keys", ttf.shape, np.float64)
-        np.copyto(keys, ttf)
-        np.copyto(keys, tie_keys, where=infinite)
-    else:
-        # Keys inherit the TTF's integer dtype (the caller guarantees
-        # ``ttf * n_labels + order`` fits it); the values — and thus the
-        # argmin winners — match the reference's int64 keys exactly.
-        keys = scratch.buf("select_int_keys", ttf.shape, ttf.dtype)
-        np.multiply(ttf, ttf.dtype.type(n_labels), out=keys)
-        np.add(keys, order, out=keys)
-    return keys
+    return _select_into(ttf, tie_policy, uniforms, out, scratch, active_lanes)
 
 
 def select_first_to_fire_chains_into(
@@ -273,6 +236,8 @@ def select_first_to_fire_chains_into(
     rngs,
     out: np.ndarray,
     scratch: SampleScratch,
+    *,
+    active_lanes: Optional[int] = None,
 ) -> np.ndarray:
     """Chain-batched :func:`select_first_to_fire_into`.
 
@@ -281,23 +246,102 @@ def select_first_to_fire_chains_into(
     :func:`select_first_to_fire_into` calls: the ``random`` policy fills
     one per-chain uniform slab from each chain's own generator — the
     same block, in the same order, that chain would draw running alone —
-    and the key construction and argmin are elementwise/rowwise, so
-    batching over the chain axis cannot change any winner.
+    and every later step is rowwise, so batching over the chain axis
+    cannot change any winner.  ``active_lanes`` counts the whole block.
     """
-    n_labels = ttf.shape[-1]
-    if tie_policy == "first":
-        order = np.broadcast_to(np.arange(n_labels, dtype=np.int64), ttf.shape)
-    elif tie_policy == "last":
-        order = np.broadcast_to(
-            np.arange(n_labels - 1, -1, -1, dtype=np.int64), ttf.shape
-        )
-    elif tie_policy == "random":
+    uniforms = None
+    if tie_policy == "random":
         uniforms = scratch.buf("select_uniforms", ttf.shape, np.float64)
         for index, rng in enumerate(rngs):
             rng.random(out=uniforms[index])
-        order = np.argsort(uniforms, axis=-1)
-    else:
+    return _select_into(ttf, tie_policy, uniforms, out, scratch, active_lanes)
+
+
+def _record_selection(dense: bool, ordered_rows: int) -> None:
+    """Telemetry hook: which branch one selection took, and how many
+    rows it had to resolve by the tie order."""
+    tel = obs.active()
+    if tel is not None:
+        tel.inc("select.dense_calls" if dense else "select.tie_only_calls")
+        tel.inc("select.ordered_rows", ordered_rows)
+
+
+def _select_into(
+    ttf: np.ndarray,
+    tie_policy: str,
+    uniforms: Optional[np.ndarray],
+    out: np.ndarray,
+    scratch: SampleScratch,
+    active_lanes: Optional[int],
+) -> np.ndarray:
+    """First-to-fire over the last axis of ``ttf`` once the tie-break
+    uniforms (``random`` only) are drawn; shared by both ``*_into`` paths.
+
+    The reference keys every lane as ``ttf * n_labels + order`` (``order``
+    a per-row permutation) and takes the row argmin.  A row whose minimum
+    is unique wins there whatever the order, so only rows with more than
+    one lane at the minimum need the order at all:
+
+    * ``first`` is the row's first ``argmin``; ``last`` on integer bins
+      its last ``argmin``;
+    * integer bins under ``random`` take the first ``argmin``, then only
+      the tied rows sort their uniforms and pick the tied lane of
+      smallest order;
+    * ``float_time`` TTFs tie only where every lane is ``+inf`` (a finite
+      tie goes to the first index, as in the reference), so only those
+      rows take the order under ``last``/``random``.
+
+    Finding the tied integer rows costs a few passes over the block.
+    When more than half of the lanes are active (``active_lanes``), most
+    rows tie — the legacy design without a cut-off ties on nearly all —
+    and the dense keys of the reference are cheaper, so ``random`` builds
+    those instead.  Both branches pick the same winners.
+    """
+    if tie_policy not in TIE_POLICIES:
         raise DataError(f"unknown tie policy {tie_policy!r}")
-    keys = _selection_keys(ttf, order, scratch)
-    np.argmin(keys, axis=-1, out=out)
+    n_labels = ttf.shape[-1]
+    integer = not np.issubdtype(ttf.dtype, np.floating)
+    if tie_policy == "random" and integer and active_lanes is not None and (
+        2 * active_lanes > ttf.size
+    ):
+        _record_selection(True, ttf.size // n_labels)
+        order = np.argsort(uniforms, axis=-1)
+        # Keys inherit the TTF's integer dtype (the caller guarantees
+        # ``ttf * n_labels + order`` fits it); the values — and thus the
+        # argmin winners — match the reference's int64 keys exactly.
+        keys = scratch.buf("select_int_keys", ttf.shape, ttf.dtype)
+        np.multiply(ttf, ttf.dtype.type(n_labels), out=keys)
+        np.add(keys, order, out=keys)
+        np.argmin(keys, axis=-1, out=out)
+        return out
+    if tie_policy == "last" and integer:
+        _record_selection(False, 0)
+        np.argmin(ttf[..., ::-1], axis=-1, out=out)
+        return np.subtract(n_labels - 1, out, out=out)
+    np.argmin(ttf, axis=-1, out=out)
+    if tie_policy == "first":
+        _record_selection(False, 0)
+        return out
+    lanes = ttf.reshape(-1, n_labels)
+    row_min = lanes.reshape(-1)[
+        np.arange(0, ttf.size, n_labels) + out.reshape(-1)
+    ]
+    if integer:
+        at_min = scratch.buf("select_at_min", lanes.shape, np.bool_)
+        np.equal(lanes, row_min[:, None], out=at_min)
+        lanes_at_min = np.bincount(
+            np.flatnonzero(at_min) // n_labels, minlength=row_min.size
+        )
+        rows = np.flatnonzero(lanes_at_min > 1)
+    else:
+        rows = np.flatnonzero(np.isinf(row_min))
+    _record_selection(False, rows.size)
+    if rows.size:
+        if tie_policy == "random":
+            order = np.argsort(uniforms.reshape(-1, n_labels)[rows], axis=-1)
+        else:
+            order = np.arange(n_labels - 1, -1, -1, dtype=np.int64)
+        # Lanes off the minimum rank after every lane on it.
+        keys = np.where(lanes[rows] == row_min[rows, None], order, n_labels)
+        out.flat[rows] = np.argmin(keys, axis=-1)
     return out

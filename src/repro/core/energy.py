@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.errors import ConfigError
-from repro.util.quantize import quantize_to_bits, unsigned_max
+from repro.util.errors import ConfigError, DataError
+from repro.util.quantize import unsigned_max
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,14 @@ class EnergyStage:
         return self.full_scale / self.grid_max
 
     def quantize(self, energies: np.ndarray) -> np.ndarray:
-        """Quantize raw energies onto the unsigned grid (int64 output)."""
-        return quantize_to_bits(np.asarray(energies, dtype=np.float64),
-                                self.energy_bits, self.full_scale)
+        """Quantize raw energies onto the unsigned grid (int64 output).
+
+        Scale so ``full_scale`` maps to the grid maximum, round, clamp;
+        ``±inf`` clamps onto the grid like any out-of-range energy, and a
+        NaN energy raises :class:`~repro.util.errors.DataError`.
+        """
+        arr = np.asarray(energies, dtype=np.float64)
+        return self._grid_values(arr, np.empty(arr.shape)).astype(np.int64)
 
     def quantize_into(
         self, energies: np.ndarray, out: np.ndarray, work: np.ndarray
@@ -63,12 +68,21 @@ class EnergyStage:
         int64 result.  Bit-identical to :meth:`quantize`: the same
         scale-round-clamp chain, run in place.
         """
+        np.copyto(out, self._grid_values(energies, work), casting="unsafe")
+        return out
+
+    def _grid_values(self, energies: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Scaled, rounded and clamped energies as floats, written to and
+        returned in ``work``; raises on NaN."""
         top = self.grid_max
         np.multiply(energies, top / self.full_scale, out=work)
         np.rint(work, out=work)
         np.clip(work, 0, top, out=work)
-        np.copyto(out, work, casting="unsafe")
-        return out
+        # NaN survives scale, round and clip, and its cast to int64 is
+        # undefined; one max-reduction finds it before the cast.
+        if work.size and np.isnan(work.max()):
+            raise DataError("energies contain NaN")
+        return work
 
     def quantized_temperature(self, temperature: float) -> float:
         """Convert a raw-unit temperature to grid units.

@@ -7,11 +7,17 @@ with bit-accurate RSU-G semantics: quantize the energy
 draw a binned exponential TTF (``Time_bits``, ``Truncation``) per
 label, and select the first label to fire.
 
-Two equivalent sampling paths exist: the reference :meth:`~SamplerBackend.sample`
-(allocates its intermediates, the oracle for regressions) and the fused
-:meth:`~SamplerBackend.sample_into` used by the sweep kernel, which
-chains quantize -> LUT gather -> TTF -> first-to-fire through reusable
-workspace buffers.  Both are byte-identical, including RNG consumption.
+Three byte-identical sampling paths exist, RNG consumption included:
+the reference :meth:`~SamplerBackend.sample` (allocates its
+intermediates, the oracle for regressions), the fused
+:meth:`~SamplerBackend.sample_into` used by the sweep kernel, and the
+chain-batched :meth:`~SamplerBackend.sample_chains_into`.  The fused
+paths chain quantize -> LUT gather -> TTF -> first-to-fire through
+reusable workspace buffers.  The TTF stage returns how many lanes are
+active (nonzero code); selection uses it to choose between sorting the
+tie-break uniforms of only the tied rows (at most half the lanes
+active) and the dense keys (most lanes active, most rows tied).  A NaN
+energy raises :class:`~repro.util.errors.DataError` on every path.
 """
 
 from __future__ import annotations
@@ -168,9 +174,10 @@ class RSUGSampler(SamplerBackend):
         else:
             np.copyto(codes, lambda_codes(quantized, t_grid, self.config))
         ttf = scratch.buf("rsu_ttf", shape, self._ttf_dtype(shape[1]))
-        self._ttf.sample_into(codes, ttf, scratch)
+        active_lanes = self._ttf.sample_into(codes, ttf, scratch)
         return select_first_to_fire_into(
-            ttf, self.config.tie_policy, self._rng, out, scratch
+            ttf, self.config.tie_policy, self._rng, out, scratch,
+            active_lanes=active_lanes,
         )
 
     def _ttf_dtype(self, n_labels: int):
@@ -271,7 +278,7 @@ class RSUGSampler(SamplerBackend):
                     codes[index], lambda_codes(quantized[index], t_grid, first.config)
                 )
         ttf = scratch.buf("rsu_ttf", shape, first._ttf_dtype(shape[2]))
-        TTFSampler.sample_chains_into(
+        active_lanes = TTFSampler.sample_chains_into(
             [sampler._ttf for sampler in samplers], codes, ttf, scratch
         )
         return select_first_to_fire_chains_into(
@@ -280,6 +287,7 @@ class RSUGSampler(SamplerBackend):
             [sampler._rng for sampler in samplers],
             out,
             scratch,
+            active_lanes=active_lanes,
         )
 
 

@@ -110,8 +110,10 @@ class TTFSampler:
 
     def sample_into(
         self, codes: np.ndarray, out: np.ndarray, scratch: SampleScratch
-    ) -> np.ndarray:
-        """Fused :meth:`sample`: same bins and RNG stream, reused buffers.
+    ) -> int:
+        """Fused :meth:`sample` into ``out``: same bins and RNG stream,
+        reused buffers.  Returns the number of active (nonzero-code)
+        lanes, which the RSU pipeline passes on to selection.
 
         The entropy block is prefetched straight into a reusable buffer
         (``rng.random(out=...)`` draws the identical variates in the
@@ -131,8 +133,9 @@ class TTFSampler:
     @staticmethod
     def sample_chains_into(
         ttf_samplers, codes: np.ndarray, out: np.ndarray, scratch: SampleScratch
-    ) -> np.ndarray:
-        """Chain-batched :meth:`sample_into` over a ``(K, sites, labels)`` block.
+    ) -> int:
+        """Chain-batched :meth:`sample_into` over a ``(K, sites, labels)`` block
+        (returns the active-lane count of the whole block).
 
         ``ttf_samplers[k]`` supplies chain ``k``'s RET entropy; all K
         must share one design point (the caller checks — the batched RSU
@@ -168,13 +171,14 @@ def _finish_fused_sample(
     uniforms: np.ndarray,
     out: np.ndarray,
     scratch: SampleScratch,
-) -> np.ndarray:
+) -> int:
     """Shared binning tail of the fused TTF paths (post-uniform-fill).
 
     Operates on arrays of any shape — the single-chain ``(sites, labels)``
     matrix and the chain-batched ``(K, sites, labels)`` block flow
     through identical flat/elementwise ops (mask, compress pools, place),
-    so stacking chains cannot change any bin.
+    so stacking chains cannot change any bin.  Returns the active-lane
+    count it compresses by.
     """
     active = scratch.buf("ttf_active_mask", codes.shape, np.bool_)
     np.greater(codes, 0, out=active)
@@ -198,7 +202,7 @@ def _finish_fused_sample(
     if cfg.float_time:
         out.fill(np.inf)
         np.place(out, active, work)
-        return out
+        return n_active
     np.ceil(work, out=work)
     if cfg.clamp_to_tmax:
         np.minimum(work, cfg.time_bins, out=work)
@@ -210,7 +214,7 @@ def _finish_fused_sample(
     np.copyto(bins, work, casting="unsafe")
     out.fill(cutoff_bin(cfg))
     np.place(out, active, bins)
-    return out
+    return n_active
 
 
 def bin_probabilities(code: int, config: RSUConfig) -> np.ndarray:
