@@ -19,11 +19,10 @@ Three lanes:
   disabled (per-site ``np.exp``) vs enabled (integer table gather).
 * ``sweep_kernel`` — the same stereo solve through the reference
   per-sweep pipeline (``use_fused=False``) vs the fused allocation-free
-  sweep kernel (the solver default).  Labels are asserted byte-identical
-  before either time is recorded, and the fused time is also reported
-  against the PR 2 recorded ``lambda_lut.lut_s`` baseline (2.7856 s).
-* ``batched_chains`` — a K=8 parallel-tempering ladder run through the
-  batched ``(K, H, W)`` chain workspace vs K sequential fused replicas,
+  sweep kernel (the solver default, the K=1 sweep workspace).  Labels
+  are asserted byte-identical before either time is recorded.
+* ``batched_chains`` — a K=8 parallel-tempering ladder run through one
+  K-chain ``(K, H, W)`` sweep workspace vs K sequential K=1 replicas,
   byte-identity (labels, energy histories, swap decisions) asserted
   first.
 * ``entropy_backends`` — the vectorized entropy subsystem: bulk
@@ -184,14 +183,8 @@ def bench_lambda_lut(profile):
     }
 
 
-#: ``lambda_lut.lut_s`` recorded by the PR 2 baseline run of this
-#: harness (small profile) — the reference the fused sweep kernel is
-#: measured against.
-PR2_LUT_BASELINE_S = 2.7856
-
-
 def bench_sweep_kernel(profile):
-    """Reference per-sweep pipeline vs the fused sweep kernel.
+    """Reference per-sweep pipeline vs the K=1 sweep workspace.
 
     Byte-identity of the final label grids is asserted before either
     time is recorded; both solves share one model, schedule and seed so
@@ -224,8 +217,6 @@ def bench_sweep_kernel(profile):
         "reference_s": round(reference_s, 4),
         "fused_s": round(fused_s, 4),
         "speedup_fused_vs_reference": round(reference_s / fused_s, 2),
-        "pr2_lut_baseline_s": PR2_LUT_BASELINE_S,
-        "speedup_fused_vs_pr2_lut": round(PR2_LUT_BASELINE_S / fused_s, 2),
         "results_byte_identical": True,
     }
 
@@ -236,8 +227,8 @@ TEMPERING_CHAINS = 8
 
 
 def bench_batched_chains(profile):
-    """K=8 replica-tempering ladder: batched ``(K, H, W)`` workspace vs
-    K sequential fused solves.
+    """K=8 replica-tempering ladder: one K-chain ``(K, H, W)`` sweep
+    workspace vs K sequential K=1 solves.
 
     Byte-identity (labels, energy histories, swap decisions) is asserted
     before either time is recorded.  The ladder runs at half the sweep

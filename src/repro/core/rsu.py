@@ -10,10 +10,15 @@ label, and select the first label to fire.
 Three byte-identical sampling paths exist, RNG consumption included:
 the reference :meth:`~SamplerBackend.sample` (allocates its
 intermediates, the oracle for regressions), the fused
-:meth:`~SamplerBackend.sample_into` used by the sweep kernel, and the
-chain-batched :meth:`~SamplerBackend.sample_chains_into`.  The fused
-paths chain quantize -> LUT gather -> TTF -> first-to-fire through
-reusable workspace buffers.  The TTF stage returns how many lanes are
+:meth:`~SamplerBackend.sample_into` that the sweep workspace calls at
+K=1 (single-chain solves), and the chain-batched
+:meth:`~SamplerBackend.sample_chains_into` it calls for K > 1 chains.
+The 2-D path and its 2-D stage functions (``TTFSampler.sample_into``,
+``select_first_to_fire_into``) stay separate from their chain twins
+because the benchmark's traced run wraps them by name to time the
+RSU-G stages of a single-chain solve.  The fused paths chain
+quantize -> LUT gather -> TTF -> first-to-fire through reusable
+workspace buffers.  The TTF stage returns how many lanes are
 active (nonzero code); selection uses it to choose between sorting the
 tie-break uniforms of only the tied rows (at most half the lanes
 active) and the dense keys (most lanes active, most rows tied).  A NaN

@@ -44,34 +44,8 @@ class SoftwareSampler(SamplerBackend):
         out: np.ndarray,
         scratch: SampleScratch,
     ) -> np.ndarray:
-        """Fused Gumbel-max draw: same labels and RNG stream, no allocs.
-
-        The uniform block is prefetched into a reused buffer and the
-        whole ``-log(-log1p(-u))`` / score chain runs in place, op for
-        op the reference formula, so the result is byte-identical to
-        :meth:`sample`.
-        """
-        if energies.ndim != 2 or energies.shape[1] < 1 or energies.shape[0] < 1:
-            raise DataError(
-                f"energies must be (n_sites, n_labels), got shape {energies.shape}"
-            )
-        check_positive("temperature", temperature)
-        record_sampler_batch(energies.shape[0])
-        tel = obs.active()
-        if tel is not None:
-            tel.inc("entropy.uniforms", energies.size)
-        gumbel = scratch.buf("gumbel", energies.shape, np.float64)
-        self._rng.random(out=gumbel)
-        np.negative(gumbel, out=gumbel)
-        np.log1p(gumbel, out=gumbel)
-        np.negative(gumbel, out=gumbel)
-        np.log(gumbel, out=gumbel)
-        np.negative(gumbel, out=gumbel)
-        scores = scratch.buf("gumbel_scores", energies.shape, np.float64)
-        np.divide(energies, float(temperature), out=scores)
-        np.negative(scores, out=scores)
-        np.add(scores, gumbel, out=scores)
-        np.argmax(scores, axis=1, out=out)
+        """Fused Gumbel-max draw: :meth:`sample_chains_into` for one chain."""
+        self.sample_chains_into([self], energies[None], [temperature], out[None], scratch)
         return out
 
     @classmethod
@@ -89,9 +63,11 @@ class SoftwareSampler(SamplerBackend):
         identical block, in the identical order, that chain would draw
         running alone — then the whole ``-log(-log1p(-u))`` / score
         chain runs once over the stacked block, dividing by a
-        ``(K, 1, 1)`` per-chain temperature column.  Elementwise ufuncs
-        are block-shape invariant, so the result is byte-identical to K
-        sequential :meth:`sample_into` calls.
+        ``(K, 1, 1)`` per-chain temperature column, op for op the
+        reference formula of :meth:`sample`.  Elementwise ufuncs are
+        block-shape invariant, so the result is byte-identical to K
+        sequential :meth:`sample` calls.  :meth:`sample_into` is its
+        one-chain case.
         """
         if energies.ndim != 3 or energies.shape[2] < 1 or energies.shape[1] < 1:
             raise DataError(
@@ -141,14 +117,8 @@ class GreedySampler(SamplerBackend):
         out: np.ndarray,
         scratch: SampleScratch,
     ) -> np.ndarray:
-        """Allocation-free ICM step (argmin straight into ``out``)."""
-        if energies.ndim != 2 or energies.shape[1] < 1 or energies.shape[0] < 1:
-            raise DataError(
-                f"energies must be (n_sites, n_labels), got shape {energies.shape}"
-            )
-        check_positive("temperature", temperature)
-        record_sampler_batch(energies.shape[0])
-        np.argmin(energies, axis=1, out=out)
+        """Allocation-free ICM step: :meth:`sample_chains_into` for one chain."""
+        self.sample_chains_into([self], energies[None], [temperature], out[None], scratch)
         return out
 
     @classmethod

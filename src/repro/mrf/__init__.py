@@ -7,7 +7,7 @@ from repro.mrf.annealing import (
     Schedule,
     geometric_for_span,
 )
-from repro.mrf.batch import BatchedSweepWorkspace, EnsembleResult, EnsembleSolver
+from repro.mrf.batch import EnsembleResult, EnsembleSolver
 from repro.mrf.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointWriter,
@@ -43,7 +43,6 @@ __all__ = [
     "SolveCheckpoint",
     "load_checkpoint",
     "save_checkpoint",
-    "BatchedSweepWorkspace",
     "EnsembleResult",
     "EnsembleSolver",
     "ParallelTempering",

@@ -1,267 +1,46 @@
-"""Batched multi-chain execution: K chains through one fused workspace.
+"""Multi-seed restart ensembles: K independent chains, best-of-K.
 
 The paper's accelerator earns its throughput by running many RSU-G
 units at once (Sec. IV-B.6 multi-unit layouts, the 1024-unit array),
 and its "beyond Gibbs" extensions — parallel tempering, multi-seed
 ensembles — are exactly the workloads that run K independent chains
-over one shared MRF.  Executing those chains as K separate
-:class:`~repro.mrf.solver.MCMCSolver` runs invokes the fused kernel K
-times per sweep, paying K× the Python/NumPy dispatch overhead for
-identical geometry.
+over one shared MRF.  :class:`EnsembleSolver` runs its K restarts
+through one K-chain :class:`~repro.mrf.kernel.SweepWorkspace` (the same
+sweep engine as :class:`~repro.mrf.solver.MCMCSolver`, which is its K=1
+case): one ``(K, H, W)`` label tensor, one ``sample_chains_into``
+dispatch per colour class, so every NumPy call amortizes over K chains.
 
-:class:`BatchedSweepWorkspace` stacks the chains into one ``(K, H, W)``
-label tensor: the per-colour-class neighbour gathers span the chain
-axis (one flat index array covers all K padded mirrors), the energy
-accumulation runs over ``(K * n_class, n_labels)`` blocks, and the
-sampler backends' ``sample_chains_into`` classmethods fill one entropy
-slab per chain before batching the elementwise math — so every NumPy
-call amortizes over K chains.
-
-**Byte-identity is the hard contract**, exactly as for the single-chain
-fused kernel: a batched K-chain run produces the same labels, the same
-energy histories, and consumes every chain's RNG stream identically to
-K sequential fused solves.  ``tests/test_mrf_batch.py`` enforces this
-across backends, tie policies, and LUT on/off, and bounds the batched
-kernel's steady-state allocations with ``tracemalloc``.
-
-:class:`EnsembleSolver` builds multi-seed restarts (best-of-K
-selection) on top; :class:`repro.mrf.tempering.ParallelTempering` runs
-its replica ladder through the same workspace.
+**Byte-identity is the hard contract**: a K-chain run produces the same
+labels, the same energy histories, and consumes every chain's RNG
+stream identically to K sequential single-chain solves, which
+``use_batched=False`` keeps as the oracle.  ``tests/test_mrf_batch.py``
+enforces this across backends, tie policies, and LUT on/off, and bounds
+the K-chain sweeps' steady-state allocations with ``tracemalloc``.
+:class:`repro.mrf.tempering.ParallelTempering` runs its replica ladder
+through the same workspace.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.base import SamplerBackend, SampleScratch
 from repro.mrf.annealing import Schedule
 from repro.mrf.checkpoint import (
     CheckpointWriter,
     SolveCheckpoint,
     resolve_checkpoint,
+    resume_labels,
 )
+from repro.mrf.kernel import SweepWorkspace
 from repro.mrf.model import GridMRF, coloring_masks
 from repro.mrf.solver import MCMCSolver, SolveResult
 from repro.obs import telemetry as obs
 from repro.rng.streams import generator_state, set_generator_state
-from repro.util.errors import ConfigError, DataError
-
-
-class _BatchedClassPlan:
-    """Chain-spanning geometry and buffers for one colour class."""
-
-    __slots__ = (
-        "site_flat",
-        "site_flat_kn",
-        "pad_flat",
-        "gather_idx",
-        "unary",
-        "neighbors",
-        "pair",
-        "energies",
-        "labels_out",
-        "current",
-        "scratch",
-    )
-
-    def __init__(
-        self, model: GridMRF, mask: np.ndarray, padded_width: int, n_chains: int
-    ):
-        rows, cols = np.nonzero(mask)  # raster order == boolean-mask order
-        n = rows.size
-        m = model.n_labels
-        conn = model.connectivity
-        h, w = model.shape
-        # Per-chain flat indices, offset by each chain's slab stride so a
-        # single gather/scatter spans all K label grids at once.
-        site_one = rows * w + cols
-        pad_one = (rows + 1) * padded_width + (cols + 1)
-        site_strides = np.arange(n_chains, dtype=np.int64) * np.int64(h * w)
-        pad_strides = np.arange(n_chains, dtype=np.int64) * np.int64(
-            (h + 2) * padded_width
-        )
-        self.site_flat_kn = site_strides[:, None] + site_one
-        self.site_flat = np.ascontiguousarray(self.site_flat_kn.reshape(-1))
-        self.pad_flat = np.ascontiguousarray(
-            (pad_strides[:, None] + pad_one).reshape(-1)
-        )
-        # Flat offsets into the padded grids, in the exact stacking order
-        # of GridMRF._neighbor_labels: up, down, left, right, then the
-        # diagonals for 8-connectivity.  Chain slabs are contiguous, so
-        # one offset works for every chain.
-        offsets = [-padded_width, padded_width, -1, 1]
-        if conn == 8:
-            offsets += [
-                -padded_width - 1,
-                -padded_width + 1,
-                padded_width - 1,
-                padded_width + 1,
-            ]
-        self.gather_idx = np.empty((conn, n_chains * n), dtype=np.int64)
-        for d, offset in enumerate(offsets):
-            np.add(self.pad_flat, offset, out=self.gather_idx[d])
-        # The unary block is constant and identical for every chain:
-        # gather it once, broadcast at add time.
-        self.unary = np.ascontiguousarray(model.unary[mask])
-        self.neighbors = np.empty((conn, n_chains * n), dtype=np.int64)
-        self.pair = np.empty((n_chains * n, m), dtype=np.float64)
-        self.energies = np.empty((n_chains, n, m), dtype=np.float64)
-        self.labels_out = np.empty((n_chains, n), dtype=np.intp)
-        self.current = np.empty(n, dtype=np.int64)
-        self.scratch = SampleScratch()
-
-
-class BatchedSweepWorkspace:
-    """Reusable state for fused checkerboard sweeps over K stacked chains.
-
-    The batched analogue of :class:`repro.mrf.kernel.SweepWorkspace`:
-    one ``(K, H+2, W+2)`` sentinel-padded mirror covers every chain, the
-    per-colour-class flat gather indices span the chain axis, and each
-    half-sweep samples all K chains' sites through a single
-    ``sample_chains_into`` dispatch (per-chain RNG streams, shared
-    elementwise math).
-
-    Chains are independent by construction — no index crosses a chain
-    slab — so results are byte-identical to K sequential
-    single-chain workspaces, which ``tests/test_mrf_batch.py`` enforces.
-    """
-
-    def __init__(
-        self, model: GridMRF, masks: Sequence[np.ndarray], n_chains: int
-    ):
-        if n_chains < 1:
-            raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
-        self.model = model
-        self.n_chains = n_chains
-        h, w = model.shape
-        total = 0
-        for mask in masks:
-            if mask.shape != model.shape:
-                raise DataError(
-                    f"mask shape {mask.shape} != grid shape {model.shape}"
-                )
-            total += int(mask.sum())
-        if total != h * w:
-            raise DataError("colour classes must partition the grid")
-        self._padded = np.full(
-            (n_chains, h + 2, w + 2), model.n_labels, dtype=np.int64
-        )
-        self._padded_flat = self._padded.reshape(-1)
-        self._interior = self._padded[:, 1:-1, 1:-1]
-        self._classes: List[_BatchedClassPlan] = [
-            _BatchedClassPlan(model, mask, w + 2, n_chains) for mask in masks
-        ]
-        self._pairwise = model.padded_pairwise
-        self._weight = model.weight
-        self._bound: Optional[np.ndarray] = None
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of preallocated workspace (diagnostics/tests)."""
-        per_class = sum(
-            sum(getattr(plan, name).nbytes for name in (
-                "site_flat", "pad_flat", "gather_idx", "unary", "neighbors",
-                "pair", "energies", "labels_out", "current",
-            )) + plan.scratch.nbytes
-            for plan in self._classes
-        )
-        return per_class + self._padded.nbytes
-
-    def bind(self, labels: np.ndarray) -> None:
-        """Synchronize the padded mirrors with ``labels`` (full copy).
-
-        ``labels`` must be a C-contiguous ``(K, H, W)`` int array — the
-        scatter writes through a flat view, so a non-contiguous tensor
-        would silently reshape-copy instead of aliasing.
-        """
-        expected = (self.n_chains,) + self.model.shape
-        if labels.shape != expected:
-            raise DataError(
-                f"labels shape {labels.shape} != chain-stacked shape {expected}"
-            )
-        if not labels.flags.c_contiguous:
-            raise DataError("batched sweeps require a C-contiguous label tensor")
-        np.copyto(self._interior, labels)
-        self._bound = labels
-
-    def class_energies(self, index: int) -> np.ndarray:
-        """Fill and return the ``(K, n_class, n_labels)`` energy block.
-
-        Bit-identical, chain for chain, to the single-chain
-        :meth:`~repro.mrf.kernel.SweepWorkspace.class_energies`: the
-        rows of the flattened ``(K * n_class, n_labels)`` views are just
-        the K chains' rows stacked chain-major, every accumulation op is
-        elementwise, and the broadcast unary add touches each element
-        exactly as the per-chain add does.
-        """
-        plan = self._classes[index]
-        np.take(self._padded_flat, plan.gather_idx, out=plan.neighbors)
-        np.add(
-            self._pairwise[plan.neighbors[0]],
-            self._pairwise[plan.neighbors[1]],
-            out=plan.pair,
-        )
-        for d in range(2, plan.neighbors.shape[0]):
-            plan.pair += self._pairwise[plan.neighbors[d]]
-        energies_flat = plan.energies.reshape(plan.pair.shape)
-        np.multiply(plan.pair, self._weight, out=energies_flat)
-        plan.energies += plan.unary[None]
-        return plan.energies
-
-    def sweep(
-        self,
-        labels: np.ndarray,
-        temperatures: Sequence[float],
-        samplers: Sequence[SamplerBackend],
-        wants_current: Sequence[bool],
-    ) -> np.ndarray:
-        """One fused checkerboard sweep of every chain, in place.
-
-        ``labels`` is the bound ``(K, H, W)`` tensor; chain ``k`` sweeps
-        at ``temperatures[k]`` with ``samplers[k]``.  When every chain
-        shares one backend type and none needs the current labels, each
-        colour class is sampled through a single ``sample_chains_into``
-        call; otherwise the per-chain loop runs — both byte-identical to
-        K sequential fused sweeps.
-        """
-        if labels is not self._bound:
-            self.bind(labels)
-        if not (len(samplers) == len(wants_current) == self.n_chains):
-            raise DataError(
-                f"need {self.n_chains} samplers/flags, got "
-                f"{len(samplers)}/{len(wants_current)}"
-            )
-        batched = not any(wants_current) and (
-            len({type(sampler) for sampler in samplers}) == 1
-        )
-        labels_flat = labels.reshape(-1)
-        for index, plan in enumerate(self._classes):
-            energies = self.class_energies(index)
-            if batched:
-                type(samplers[0]).sample_chains_into(
-                    list(samplers), energies, temperatures, plan.labels_out,
-                    plan.scratch,
-                )
-            else:
-                for k, sampler in enumerate(samplers):
-                    if wants_current[k]:
-                        np.take(labels_flat, plan.site_flat_kn[k], out=plan.current)
-                        plan.labels_out[k] = sampler.sample_given_current(
-                            energies[k], temperatures[k], plan.current
-                        )
-                    else:
-                        sampler.sample_into(
-                            energies[k], temperatures[k], plan.labels_out[k],
-                            plan.scratch,
-                        )
-            new_labels = plan.labels_out.reshape(-1)
-            labels_flat[plan.site_flat] = new_labels
-            self._padded_flat[plan.pad_flat] = new_labels
-        return labels
+from repro.util.errors import ConfigError
 
 
 @dataclass
@@ -303,9 +82,11 @@ class EnsembleSolver:
     ``MCMCSolver(model, sampler_factory(0), schedule, seed=seed)`` run
     exactly, so enabling restarts can only improve the returned energy.
 
-    Parameters mirror :class:`~repro.mrf.solver.MCMCSolver`;
-    ``use_batched=False`` keeps K sequential solver runs as the
-    byte-identical oracle for tests and A/B timing.
+    Parameters mirror :class:`~repro.mrf.solver.MCMCSolver`.  The
+    chains sweep through one K-chain
+    :class:`~repro.mrf.kernel.SweepWorkspace` (K=1 included);
+    ``use_batched=False`` runs K sequential solver runs instead, the
+    byte-identical oracle the tests compare against.
     """
 
     def __init__(
@@ -371,17 +152,12 @@ class EnsembleSolver:
 
     def _restore(self, checkpoint: SolveCheckpoint, iterations: int):
         """(start sweep, states, histories, temperature history)."""
-        if checkpoint.sweep >= iterations:
-            raise ConfigError(
-                f"checkpoint already has {checkpoint.sweep} sweeps; "
-                f"cannot resume a {iterations}-sweep run"
-            )
-        states = np.array(checkpoint.labels, dtype=np.int64, copy=True)
-        expected = (self.n_chains,) + self.model.shape
-        if states.shape != expected:
-            raise ConfigError(
-                f"checkpoint states shape {states.shape} != ensemble shape {expected}"
-            )
+        states = resume_labels(
+            checkpoint,
+            iterations,
+            (self.n_chains,) + self.model.shape,
+            self.model.n_labels,
+        )
         for solver, chain_state in zip(self._solvers, checkpoint.rng["chains"]):
             set_generator_state(solver._rng, chain_state["solver"])
             solver.sampler.setstate(chain_state["sampler"])
@@ -401,9 +177,9 @@ class EnsembleSolver:
         """Run every chain for ``iterations`` sweeps; pick the best.
 
         ``checkpoint_every=N`` snapshots all K chains every N sweeps
-        (batched path; the K-sequential oracle runs its chains to
-        completion one by one, so it cannot emit ensemble-wide
-        snapshots).  ``resume`` accepts an ``ensemble``
+        (``use_batched=True`` only: the K-sequential oracle runs its
+        chains to completion one by one, so it cannot emit
+        ensemble-wide snapshots).  ``resume`` accepts an ``ensemble``
         :class:`~repro.mrf.checkpoint.SolveCheckpoint` (or a path) and
         continues byte-identically on either path.
         """
@@ -411,12 +187,11 @@ class EnsembleSolver:
             raise ConfigError(f"iterations must be >= 1, got {iterations}")
         writer = CheckpointWriter(checkpoint_every, checkpoint_path, checkpoint_sink)
         checkpoint = resolve_checkpoint(resume, "ensemble")
-        if self.use_batched and self.n_chains > 1:
+        if self.use_batched:
             return self._run_batched(iterations, writer, checkpoint)
         if writer.enabled:
             raise ConfigError(
-                "ensemble checkpointing requires the batched path "
-                "(use_batched=True and chains > 1)"
+                "ensemble checkpointing requires the batched path (use_batched=True)"
             )
         return self._run_sequential(iterations, checkpoint)
 
@@ -472,7 +247,7 @@ class EnsembleSolver:
         samplers = [solver.sampler for solver in self._solvers]
         wants = [solver._wants_current for solver in self._solvers]
         masks = coloring_masks(self.model.shape, self.model.connectivity)
-        workspace = BatchedSweepWorkspace(self.model, masks, chains)
+        workspace = SweepWorkspace(self.model, masks, chains)
         workspace.bind(states)
         tel = obs.active()
         if tel is not None:

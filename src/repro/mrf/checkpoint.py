@@ -103,6 +103,34 @@ def resolve_checkpoint(
     return checkpoint
 
 
+def resume_labels(
+    checkpoint: SolveCheckpoint, iterations: int, shape: tuple, n_labels: int
+) -> np.ndarray:
+    """Validated int64 copy of a checkpoint's labels, for a resuming run.
+
+    Shared by every front end's ``_restore``.  Raises
+    :class:`~repro.util.errors.ConfigError` when the checkpoint already
+    holds ``iterations`` sweeps, when its labels are not ``shape`` (the
+    ``(H, W)`` grid or the ``(K, H, W)`` chain stack), or when any label
+    lies outside ``[0, n_labels)`` — a ``-1`` would silently read the
+    sweep kernel's sentinel row of the padded pairwise table, and a
+    label past the end would fail deep inside a gather.
+    """
+    if checkpoint.sweep >= iterations:
+        raise ConfigError(
+            f"checkpoint already has {checkpoint.sweep} sweeps; "
+            f"cannot resume a {iterations}-sweep run"
+        )
+    labels = np.array(checkpoint.labels, dtype=np.int64, copy=True)
+    if labels.shape != tuple(shape):
+        raise ConfigError(
+            f"checkpoint labels shape {labels.shape} != run shape {tuple(shape)}"
+        )
+    if labels.min() < 0 or labels.max() >= n_labels:
+        raise ConfigError(f"checkpoint labels out of range [0, {n_labels})")
+    return labels
+
+
 class CheckpointWriter:
     """Periodic checkpoint emitter shared by the solver front ends.
 

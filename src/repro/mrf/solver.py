@@ -23,6 +23,7 @@ from repro.mrf.checkpoint import (
     CheckpointWriter,
     SolveCheckpoint,
     resolve_checkpoint,
+    resume_labels,
 )
 from repro.mrf.kernel import SweepWorkspace
 from repro.mrf.model import GridMRF, coloring_masks
@@ -73,11 +74,11 @@ class MCMCSolver:
         Record the total energy after every sweep.  Costs one full
         energy evaluation per iteration; disable for benchmarks.
     use_fused:
-        Run :meth:`run`'s sweeps through the fused allocation-free
-        kernel (:class:`repro.mrf.kernel.SweepWorkspace`, the default).
-        ``False`` keeps the reference per-sweep pipeline — byte-identical
-        by contract (``tests/test_mrf_kernel.py`` enforces it), retained
-        as the oracle and for A/B benchmarking.
+        Run :meth:`run`'s sweeps through the sweep engine
+        (:class:`repro.mrf.kernel.SweepWorkspace` at K=1, the default).
+        ``False`` runs the reference per-sweep pipeline (:meth:`sweep`)
+        instead — byte-identical by contract (``tests/test_mrf_kernel.py``
+        enforces it), retained as the oracle the tests compare against.
     """
 
     def __init__(
@@ -104,7 +105,7 @@ class MCMCSolver:
 
     @property
     def workspace(self) -> SweepWorkspace:
-        """The solver's fused sweep workspace (created on first use)."""
+        """The solver's K=1 sweep workspace (created on first use)."""
         if self._workspace is None:
             self._workspace = SweepWorkspace(self.model, self._masks)
         return self._workspace
@@ -171,16 +172,9 @@ class MCMCSolver:
 
     def _restore(self, checkpoint: SolveCheckpoint, iterations: int):
         """(start sweep, labels, prefilled result) from a checkpoint."""
-        if checkpoint.sweep >= iterations:
-            raise ConfigError(
-                f"checkpoint already has {checkpoint.sweep} sweeps; "
-                f"cannot resume a {iterations}-sweep run"
-            )
-        labels = np.array(checkpoint.labels, dtype=np.int64, copy=True)
-        if labels.shape != self.model.shape:
-            raise ConfigError(
-                f"checkpoint labels shape {labels.shape} != grid shape {self.model.shape}"
-            )
+        labels = resume_labels(
+            checkpoint, iterations, self.model.shape, self.model.n_labels
+        )
         expected = checkpoint.meta.get("sampler")
         if expected is not None and expected != self.sampler.name:
             raise ConfigError(
@@ -231,6 +225,8 @@ class MCMCSolver:
         workspace = self.workspace if self.use_fused else None
         if workspace is not None:
             workspace.bind(labels)
+        samplers = [self.sampler]
+        wants = [self._wants_current]
         tel = obs.active()
         prev_labels = labels.copy() if tel is not None else None
         for k in range(start, iterations):
@@ -238,13 +234,11 @@ class MCMCSolver:
             if tel is not None:
                 with tel.span("solver.sweep"):
                     if workspace is not None:
-                        workspace.sweep(
-                            labels, temperature, self.sampler, self._wants_current
-                        )
+                        workspace.sweep(labels, [temperature], samplers, wants)
                     else:
                         self.sweep(labels, temperature)
             elif workspace is not None:
-                workspace.sweep(labels, temperature, self.sampler, self._wants_current)
+                workspace.sweep(labels, [temperature], samplers, wants)
             else:
                 self.sweep(labels, temperature)
             result.temperature_history.append(temperature)

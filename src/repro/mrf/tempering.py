@@ -12,15 +12,15 @@ an independent sampler backend, so tempering runs identically on the
 software baseline or on RSU-G hardware models (one RSU-G per replica —
 exactly the multi-unit layouts of Sec. IV-B.6).
 
-The replica ladder is the canonical batched-chain workload: by default
-the whole ladder sweeps through one
-:class:`~repro.mrf.batch.BatchedSweepWorkspace` (all replicas stacked
-into a ``(K, H, W)`` tensor, one fused dispatch per colour class), and
-the swap rounds draw their uniforms as one block per round.
-``use_batched=False`` keeps the replicas on K sequential fused
-workspaces; both paths are byte-identical — same labels, same energy
-histories, same swap decisions, same consumption of every RNG stream —
-which ``tests/test_mrf_batch.py`` enforces.
+The replica ladder is the canonical K-chain workload: by default the
+whole ladder sweeps through one K-chain
+:class:`~repro.mrf.kernel.SweepWorkspace` (all replicas stacked into a
+``(K, H, W)`` tensor, one fused dispatch per colour class), and the
+swap rounds draw their uniforms as one block per round.
+``use_batched=False`` sweeps each replica through its own solver's K=1
+workspace instead; both paths are byte-identical — same labels, same
+energy histories, same swap decisions, same consumption of every RNG
+stream — which ``tests/test_mrf_batch.py`` enforces.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ import numpy as np
 
 from repro.core.base import SamplerBackend
 from repro.mrf.annealing import ConstantSchedule
-from repro.mrf.batch import BatchedSweepWorkspace
 from repro.mrf.checkpoint import (
     CheckpointWriter,
     SolveCheckpoint,
     resolve_checkpoint,
+    resume_labels,
 )
+from repro.mrf.kernel import SweepWorkspace
 from repro.mrf.model import GridMRF, coloring_masks
 from repro.mrf.solver import MCMCSolver
 from repro.obs import telemetry as obs
@@ -108,10 +109,11 @@ class ParallelTempering:
     swap_interval:
         Sweeps between swap rounds.
     use_batched:
-        Sweep the whole ladder through one
-        :class:`~repro.mrf.batch.BatchedSweepWorkspace` (the default).
-        ``False`` runs K sequential fused workspaces — byte-identical
-        by contract, retained as the oracle and for A/B benchmarking.
+        Sweep the whole ladder through one K-chain
+        :class:`~repro.mrf.kernel.SweepWorkspace` (the default).
+        ``False`` sweeps the replicas one by one through their solvers'
+        K=1 workspaces — byte-identical by contract, retained as the
+        oracle the tests compare against.
     """
 
     def __init__(
@@ -186,18 +188,12 @@ class ParallelTempering:
 
     def _restore(self, checkpoint: SolveCheckpoint, sweeps: int):
         """(start sweep, (K, H, W) states, prefilled result) from a checkpoint."""
-        if checkpoint.sweep >= sweeps:
-            raise ConfigError(
-                f"checkpoint already has {checkpoint.sweep} sweeps; "
-                f"cannot resume a {sweeps}-sweep run"
-            )
-        chains = len(self._solvers)
-        states = np.array(checkpoint.labels, dtype=np.int64, copy=True)
-        expected = (chains,) + self.model.shape
-        if states.shape != expected:
-            raise ConfigError(
-                f"checkpoint states shape {states.shape} != ladder shape {expected}"
-            )
+        states = resume_labels(
+            checkpoint,
+            sweeps,
+            (len(self._solvers),) + self.model.shape,
+            self.model.n_labels,
+        )
         saved_temps = checkpoint.meta.get("temperatures")
         if saved_temps is not None and list(saved_temps) != list(self.temperatures):
             raise ConfigError(
@@ -304,7 +300,7 @@ class ParallelTempering:
                     # The workspace rebinds automatically when a swap handed
                     # this replica a different label array.
                     solver.workspace.sweep(
-                        labels, temperature, solver.sampler, solver._wants_current
+                        labels, [temperature], [solver.sampler], [solver._wants_current]
                     )
                     energies.append(self.model.total_energy(labels))
             if tel is not None:
@@ -339,7 +335,7 @@ class ParallelTempering:
         samplers = [solver.sampler for solver in self._solvers]
         wants = [solver._wants_current for solver in self._solvers]
         masks = coloring_masks(self.model.shape, self.model.connectivity)
-        workspace = BatchedSweepWorkspace(self.model, masks, chains)
+        workspace = SweepWorkspace(self.model, masks, chains)
         workspace.bind(states)
         tel = obs.active()
         for sweep_index in range(start, sweeps):

@@ -1,10 +1,11 @@
 """Batched multi-chain execution: byte-identity + allocation guard.
 
-The contract under test (see ``repro/mrf/batch.py``): running K chains
-through one :class:`BatchedSweepWorkspace` — whether as a parallel
-tempering ladder or a multi-seed ensemble — produces *byte-identical*
-results to K sequential fused solves: same label grids, same energy
-histories, same swap decisions, same consumption of every RNG stream.
+The contract under test (see ``repro/mrf/kernel.py`` and
+``repro/mrf/batch.py``): running K chains through one K-chain
+:class:`SweepWorkspace` — whether as a parallel tempering ladder or a
+multi-seed ensemble — produces *byte-identical* results to K sequential
+single-chain solves: same label grids, same energy histories, same swap
+decisions, same consumption of every RNG stream.
 Checked across backends, tie policies, LUT on/off, and connectivities,
 plus a tracemalloc bound on the batched kernel's steady-state
 allocations.
@@ -23,7 +24,6 @@ from repro.core import (
     use_lut,
 )
 from repro.mrf import (
-    BatchedSweepWorkspace,
     EnsembleResult,
     EnsembleSolver,
     GeometricSchedule,
@@ -89,7 +89,7 @@ def assert_tempering_identical(kind, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Tempering: batched ladder vs K sequential fused replicas
+# Tempering: batched ladder vs K sequential K=1 replicas
 # ---------------------------------------------------------------------------
 
 
@@ -242,7 +242,7 @@ class TestBatchedWorkspace:
         stacked = rng.integers(0, model.n_labels, size=(chains,) + model.shape,
                                dtype=np.int64)
         singles = [stacked[k].copy() for k in range(chains)]
-        batched_ws = BatchedSweepWorkspace(model, masks, chains)
+        batched_ws = SweepWorkspace(model, masks, chains)
         batched_ws.bind(stacked)
         single_ws = [SweepWorkspace(model, masks) for _ in range(chains)]
         for k in range(chains):
@@ -250,43 +250,18 @@ class TestBatchedWorkspace:
         for _ in range(6):
             batched_ws.sweep(stacked, temps, batched_samplers, [False] * chains)
             for k in range(chains):
-                single_ws[k].sweep(singles[k], temps[k], single_samplers[k], False)
+                single_ws[k].sweep(
+                    singles[k], [temps[k]], [single_samplers[k]], [False]
+                )
             assert np.array_equal(stacked, np.stack(singles))
-
-    def test_bind_rejects_bad_shapes(self):
-        model = tiny_model()
-        masks = coloring_masks(model.shape, model.connectivity)
-        workspace = BatchedSweepWorkspace(model, masks, 2)
-        with pytest.raises(DataError):
-            workspace.bind(np.zeros(model.shape, dtype=np.int64))
-        with pytest.raises(DataError):
-            workspace.bind(np.zeros((3,) + model.shape, dtype=np.int64))
-        stacked = np.zeros((2,) + model.shape, dtype=np.int64)
-        with pytest.raises(DataError):
-            workspace.bind(np.asfortranarray(stacked).transpose(0, 2, 1).transpose(0, 2, 1))
 
     def test_sweep_rejects_wrong_sampler_count(self):
         model = tiny_model()
         masks = coloring_masks(model.shape, model.connectivity)
-        workspace = BatchedSweepWorkspace(model, masks, 2)
+        workspace = SweepWorkspace(model, masks, 2)
         stacked = np.zeros((2,) + model.shape, dtype=np.int64)
         with pytest.raises(DataError):
             workspace.sweep(stacked, [1.0], [chain_factory("software")(0)], [False])
-
-    def test_rejects_non_partition_masks(self):
-        model = tiny_model()
-        masks = coloring_masks(model.shape, model.connectivity)
-        with pytest.raises(DataError):
-            BatchedSweepWorkspace(model, masks[:1], 2)
-        with pytest.raises(ConfigError):
-            BatchedSweepWorkspace(model, masks, 0)
-
-    def test_nbytes_reports_buffers(self):
-        model = tiny_model()
-        masks = coloring_masks(model.shape, model.connectivity)
-        small = BatchedSweepWorkspace(model, masks, 2).nbytes
-        large = BatchedSweepWorkspace(model, masks, 8).nbytes
-        assert 0 < small < large
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +277,7 @@ def test_batched_sweeps_have_bounded_steady_state_allocations():
     chains = 4
     masks = coloring_masks(model.shape, model.connectivity)
     samplers = [chain_factory("rsu")(k) for k in range(chains)]
-    workspace = BatchedSweepWorkspace(model, masks, chains)
+    workspace = SweepWorkspace(model, masks, chains)
     rng = np.random.default_rng(5)
     stacked = rng.integers(0, model.n_labels, size=(chains,) + model.shape,
                            dtype=np.int64)

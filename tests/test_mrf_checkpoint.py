@@ -189,12 +189,12 @@ class TestTemperingResume:
         assert_tempering_identical(oracle, resumed)
 
 
-def ensemble_under_test(model, use_batched=True):
+def ensemble_under_test(model, use_batched=True, chains=3):
     return EnsembleSolver(
         model,
         lambda i: make_backend("software", FULL_SCALE, seed=60 + i),
         GeometricSchedule(2.0, 0.85),
-        chains=3,
+        chains=chains,
         init="random",
         seed=21,
         use_batched=use_batched,
@@ -227,12 +227,58 @@ class TestEnsembleResume:
         assert oracle.best_chain == resumed.best_chain
         np.testing.assert_array_equal(oracle.chain_labels, resumed.chain_labels)
 
+    def test_single_chain_checkpoints_and_resumes(self):
+        # K=1 runs the same K-chain workspace, so it checkpoints too.
+        model = tiny_model(seed=8)
+        oracle = ensemble_under_test(model, chains=1).run(8)
+        captured = []
+        ensemble_under_test(model, chains=1).run(
+            4, checkpoint_every=4, checkpoint_sink=captured.append
+        )
+        resumed = ensemble_under_test(model, chains=1).run(8, resume=captured[0])
+        np.testing.assert_array_equal(oracle.chain_labels, resumed.chain_labels)
+        assert oracle.energy_histories == resumed.energy_histories
+        assert oracle.temperature_history == resumed.temperature_history
+        solo = MCMCSolver(
+            model,
+            make_backend("software", FULL_SCALE, seed=60),
+            GeometricSchedule(2.0, 0.85),
+            init="random",
+            seed=21,
+        ).run(8)
+        np.testing.assert_array_equal(oracle.chain_labels[0], solo.labels)
+        assert oracle.energy_histories[0] == solo.energy_history
+        assert oracle.temperature_history == solo.temperature_history
+
     def test_sequential_path_refuses_checkpoint_emission(self):
         model = tiny_model(seed=8)
         with pytest.raises(ConfigError):
             ensemble_under_test(model, use_batched=False).run(
                 8, checkpoint_every=2, checkpoint_sink=lambda c: None
             )
+
+
+RESUMABLE_RUNS = {
+    "solver": lambda model: make_solver("software", model),
+    "tempering": ladder_under_test,
+    "ensemble": ensemble_under_test,
+}
+
+
+@pytest.mark.parametrize("bad", ["negative", "past_the_end"])
+@pytest.mark.parametrize("kind", sorted(RESUMABLE_RUNS))
+def test_resume_rejects_out_of_range_labels(kind, bad):
+    # A -1 label would silently read the sentinel row of the padded
+    # pairwise table; one past the end would fail inside a gather.
+    model = tiny_model(seed=4)
+    captured = []
+    RESUMABLE_RUNS[kind](model).run(
+        4, checkpoint_every=4, checkpoint_sink=captured.append
+    )
+    checkpoint = captured[0]
+    checkpoint.labels.flat[5] = -1 if bad == "negative" else model.n_labels
+    with pytest.raises(ConfigError, match="out of range"):
+        RESUMABLE_RUNS[kind](model).run(8, resume=checkpoint)
 
 
 class TestCheckpointPlumbing:

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.rsu
 from repro.apps.common import make_backend
 from repro.core import (
     NoisyTTFSampler,
@@ -29,7 +30,7 @@ from repro.core import (
 )
 from repro.core.rsu import RSUGSampler
 from repro.mrf import GeometricSchedule, GridMRF, MCMCSolver, SweepWorkspace, coloring_masks
-from repro.util.errors import DataError
+from repro.util.errors import ConfigError, DataError
 
 FULL_SCALE = 12.0
 
@@ -228,34 +229,85 @@ def test_workspace_class_energies_match_model():
     workspace.bind(labels)
     for index, mask in enumerate(masks):
         np.testing.assert_array_equal(
-            workspace.class_energies(index), model.site_energies(labels, mask)
+            workspace.class_energies(index)[0], model.site_energies(labels, mask)
         )
 
 
-def test_workspace_rejects_bad_labels():
+@pytest.mark.parametrize("chains", [1, 3])
+def test_workspace_rejects_bad_labels(chains):
     model = tiny_model()
-    workspace = SweepWorkspace(model, coloring_masks(model.shape, model.connectivity))
+    workspace = SweepWorkspace(
+        model, coloring_masks(model.shape, model.connectivity), chains
+    )
     with pytest.raises(DataError):
         workspace.bind(np.zeros((3, 3), dtype=np.int64))
-    wide = np.zeros((model.shape[0], 2 * model.shape[1]), dtype=np.int64)
     with pytest.raises(DataError):
-        workspace.bind(wide[:, ::2])  # non-contiguous view
+        workspace.bind(np.zeros((chains + 1,) + model.shape, dtype=np.int64))
+    grid = np.zeros(model.shape, dtype=np.int64)
+    if chains == 1:
+        workspace.bind(grid)  # K=1 also takes a bare (H, W) grid
+    else:
+        with pytest.raises(DataError):
+            workspace.bind(grid)
+    wide = np.zeros((chains, model.shape[0], 2 * model.shape[1]), dtype=np.int64)
+    with pytest.raises(DataError):
+        workspace.bind(wide[..., ::2])  # non-contiguous view
 
 
-def test_workspace_rejects_non_partition_masks():
+@pytest.mark.parametrize("chains", [1, 3])
+def test_workspace_rejects_non_partition_masks(chains):
     model = tiny_model()
+    masks = coloring_masks(model.shape, model.connectivity)
     mask = np.zeros(model.shape, dtype=bool)
     mask[0, 0] = True
-    with pytest.raises(DataError):
-        SweepWorkspace(model, [mask])
-    with pytest.raises(DataError):
-        SweepWorkspace(model, [np.ones((3, 3), dtype=bool)])
+    for bad in ([mask], masks[:1], [np.ones((3, 3), dtype=bool)]):
+        with pytest.raises(DataError):
+            SweepWorkspace(model, bad, chains)
+    with pytest.raises(ConfigError):
+        SweepWorkspace(model, masks, 0)
 
 
-def test_workspace_nbytes_reports_footprint():
+@pytest.mark.parametrize("chains", [1, 3])
+def test_workspace_nbytes_reports_footprint(chains):
     model = tiny_model()
-    workspace = SweepWorkspace(model, coloring_masks(model.shape, model.connectivity))
-    assert workspace.nbytes > model.shape[0] * model.shape[1] * 8
+    masks = coloring_masks(model.shape, model.connectivity)
+    nbytes = SweepWorkspace(model, masks, chains).nbytes
+    assert nbytes > chains * model.shape[0] * model.shape[1] * 8
+    assert nbytes < SweepWorkspace(model, masks, chains + 1).nbytes
+
+
+def test_single_chain_sweep_dispatches_per_chain(monkeypatch):
+    """At K=1 every colour class goes through ``sample_into`` and the
+    stage functions it calls, never a ``sample_chains_into`` twin: the
+    benchmark's traced run hooks the former."""
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def forbid(owner, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"K=1 sweep called {owner.__name__}.{name}")
+
+        monkeypatch.setattr(owner, name, refuse)
+
+    spy(RSUGSampler, "sample_into")
+    spy(TTFSampler, "sample_into")
+    spy(repro.core.rsu, "select_first_to_fire_into")
+    forbid(RSUGSampler, "sample_chains_into")
+    forbid(TTFSampler, "sample_chains_into")
+    forbid(repro.core.rsu, "select_first_to_fire_chains_into")
+    result = run_solver(kind="rsu", fused=True, iterations=3)
+    classes = len(coloring_masks(result.labels.shape, 4))
+    assert calls == ["sample_into", "sample_into", "select_first_to_fire_into"] * (
+        3 * classes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +337,7 @@ def test_fused_sweeps_allocate_less_than_reference(tie):
 
         def one_sweep():
             if workspace is not None:
-                workspace.sweep(labels, 1.0, sampler, False)
+                workspace.sweep(labels, [1.0], [sampler], [False])
             else:
                 solver.sweep(labels, 1.0)
 
