@@ -29,6 +29,13 @@ pairwise/LUT row-gather results (see
 :meth:`SweepWorkspace.class_energies`), and the downstream sampling
 stages work on compressed active lanes instead of full arrays.
 
+Energy rows are cached across half-sweeps.  Each colour class keeps
+the neighbour labels its energy rows were built from and rebuilds only
+the rows whose neighbours changed — after the annealing schedule cools
+that is a few percent of them — or every row at once when more than
+half are stale.  Samplers receive the block as a read-only view, so
+writing into it raises instead of corrupting the cache.
+
 Byte-identity with the reference path — same labels, same energy
 history, same consumption of every RNG stream — is a hard contract,
 enforced by ``tests/test_mrf_kernel.py`` (K=1 against
@@ -45,7 +52,21 @@ import numpy as np
 
 from repro.core.base import SamplerBackend, SampleScratch
 from repro.mrf.model import GridMRF
+from repro.obs import telemetry as obs
 from repro.util.errors import ConfigError, DataError
+
+#: A class call that finds more than this share of its rows stale
+#: rebuilds all of them.  Timed on the stereo solve's classes, gathering
+#: and scattering just the stale rows stops paying at about 65% stale;
+#: half keeps a margin below that.
+_REBUILD_ALL_FRACTION = 0.5
+
+#: Energy rows rebuilt per pass.  The per-direction temporaries are then
+#: a few hundred KB and stay in cache; whole-class (N, M) temporaries
+#: made a full rebuild 2-3x slower under some heap layouts, where glibc
+#: hands them back to the OS after every call and the next call faults
+#: them in again.
+_BLOCK_ROWS = 1024
 
 
 class _ClassPlan:
@@ -58,8 +79,14 @@ class _ClassPlan:
         "gather_idx",
         "unary",
         "neighbors",
+        "built_from",
+        "changed",
+        "stale",
+        "blocks",
         "pair",
         "energies",
+        "energies_flat",
+        "energies_view",
         "labels_out",
         "current",
         "scratch",
@@ -102,11 +129,29 @@ class _ClassPlan:
         for d, offset in enumerate(offsets):
             np.add(self.pad_flat, offset, out=self.gather_idx[d])
         # The unary block is constant and identical for every chain:
-        # gather it once, broadcast at add time.
+        # gather it once; each chain's rows add the same unary rows.
         self.unary = np.ascontiguousarray(model.unary[mask])
         self.neighbors = np.empty((conn, n_chains * n), dtype=np.int64)
-        self.pair = np.empty((n_chains * n, m), dtype=np.float64)
+        # The neighbour labels each cached energy row was built from:
+        # class_energies rebuilds only the rows where they differ.  No
+        # label is -1, so the first call finds every row stale.
+        self.built_from = np.full_like(self.neighbors, -1)
+        self.changed = np.empty((conn, n_chains * n), dtype=bool)
+        self.stale = np.empty(n_chains * n, dtype=bool)
+        # Full rebuilds run block by block (see _BLOCK_ROWS); no block
+        # crosses a chain slab, so its unary rows are one slice.
+        self.blocks = [
+            (slice(k * n + start, k * n + stop), slice(start, stop))
+            for k in range(n_chains)
+            for start in range(0, n, _BLOCK_ROWS)
+            for stop in (min(start + _BLOCK_ROWS, n),)
+        ]
+        self.pair = np.empty((min(n_chains * n, _BLOCK_ROWS), m), dtype=np.float64)
         self.energies = np.empty((n_chains, n, m), dtype=np.float64)
+        self.energies_flat = self.energies.reshape(n_chains * n, m)
+        # What callers see: the cache must not be written through.
+        self.energies_view = self.energies.view()
+        self.energies_view.flags.writeable = False
         self.labels_out = np.empty((n_chains, n), dtype=np.intp)
         self.current = np.empty(n, dtype=np.int64)
         self.scratch = SampleScratch()
@@ -167,7 +212,8 @@ class SweepWorkspace:
         per_class = sum(
             sum(getattr(plan, name).nbytes for name in (
                 "site_flat", "pad_flat", "gather_idx", "unary", "neighbors",
-                "pair", "energies", "labels_out", "current",
+                "built_from", "changed", "stale", "pair", "energies", "labels_out",
+                "current",
             )) + plan.scratch.nbytes
             for plan in self._classes
         )
@@ -194,7 +240,8 @@ class SweepWorkspace:
         self._bound = labels
 
     def class_energies(self, index: int) -> np.ndarray:
-        """Fill and return the ``(K, n_class, n_labels)`` energy block.
+        """Bring the ``(K, n_class, n_labels)`` energy block up to date
+        and return a read-only view of it.
 
         Bit-identical, chain for chain, to
         ``model.site_energies(labels[k], mask)``: the per-direction row
@@ -205,25 +252,66 @@ class SweepWorkspace:
         chains' rows stacked chain-major, and ``unary + weight * pair``
         commutes exactly in IEEE arithmetic.
 
+        Rows are cached.  A row depends only on its site's neighbour
+        labels, so each call gathers those from the padded mirror,
+        compares them with the labels the cached rows were built from,
+        and rebuilds only the rows where any direction differs — with
+        the same operations in the same order, so every row holds the
+        bits a full rebuild would give it.  The first call, and any call
+        that finds more than ``_REBUILD_ALL_FRACTION`` of the rows stale
+        (the hot early sweeps), rebuilds every row.  Either way rows are
+        rebuilt ``_BLOCK_ROWS`` at a time.  The cache is keyed on exactly
+        what a rebuild reads, so :meth:`bind` after a callback, replica
+        swaps and resumed checkpoints need no invalidation.  The view is read-only so that a sampler writing
+        into its energies raises instead of corrupting the cache.
+
         The row gathers use fancy indexing, not ``np.take(..., out=)``:
         NumPy's mapiter fast path makes ``pairwise[rows]`` about 3x
         faster than ``take`` with an output buffer, which outweighs
         reusing a ``(connectivity, N, M)`` stack.  The transient
-        gather results are the kernel's only steady-state allocations.
+        block-sized gather results are the kernel's only steady-state
+        allocations.
         """
         plan = self._classes[index]
-        np.take(self._padded_flat, plan.gather_idx, out=plan.neighbors)
-        np.add(
-            self._pairwise[plan.neighbors[0]],
-            self._pairwise[plan.neighbors[1]],
-            out=plan.pair,
-        )
-        for d in range(2, plan.neighbors.shape[0]):
-            plan.pair += self._pairwise[plan.neighbors[d]]
-        energies_flat = plan.energies.reshape(plan.pair.shape)
-        np.multiply(plan.pair, self._weight, out=energies_flat)
-        plan.energies += plan.unary[None]
-        return plan.energies
+        neighbors = plan.neighbors
+        np.take(self._padded_flat, plan.gather_idx, out=neighbors)
+        total = neighbors.shape[1]
+        np.not_equal(neighbors, plan.built_from, out=plan.changed)
+        np.any(plan.changed, axis=0, out=plan.stale)
+        rows = None
+        if np.count_nonzero(plan.stale) <= _REBUILD_ALL_FRACTION * total:
+            rows = np.flatnonzero(plan.stale)
+        if rows is None:
+            for block, sites in plan.blocks:
+                pair = plan.pair[: sites.stop - sites.start]
+                self._pair_sum(neighbors[:, block], pair)
+                energies = plan.energies_flat[block]
+                np.multiply(pair, self._weight, out=energies)
+                energies += plan.unary[sites]
+        else:
+            for start in range(0, rows.size, _BLOCK_ROWS):
+                block = rows[start : start + _BLOCK_ROWS]
+                pair = self._pair_sum(neighbors[:, block], plan.pair[: block.size])
+                pair *= self._weight
+                pair += plan.unary[block % plan.unary.shape[0]]
+                plan.energies_flat[block] = pair
+        tel = obs.active()
+        if tel is not None:
+            rebuilt = total if rows is None else rows.size
+            tel.inc("energy.full_rebuilds", int(rows is None))
+            tel.inc("energy.rows_rebuilt", rebuilt)
+            tel.inc("energy.rows_reused", total - rebuilt)
+        # Every row is now built from the labels just gathered.
+        plan.neighbors, plan.built_from = plan.built_from, neighbors
+        return plan.energies_view
+
+    def _pair_sum(self, neighbors: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``sum_d pairwise[neighbors[d]]``, accumulated in direction order."""
+        pairwise = self._pairwise
+        pair = np.add(pairwise[neighbors[0]], pairwise[neighbors[1]], out=out)
+        for d in range(2, neighbors.shape[0]):
+            pair += pairwise[neighbors[d]]
+        return pair
 
     def sweep(
         self,
@@ -257,6 +345,8 @@ class SweepWorkspace:
         )
         labels_flat = labels.reshape(-1)
         for index, plan in enumerate(self._classes):
+            if not plan.site_flat.size:
+                continue  # an empty colour class (a 1-wide grid) draws nothing
             energies = self.class_energies(index)
             if batched:
                 type(samplers[0]).sample_chains_into(

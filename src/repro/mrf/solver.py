@@ -138,6 +138,8 @@ class MCMCSolver:
         ``sample_given_current``.
         """
         for mask in self._masks:
+            if not mask.any():
+                continue  # an empty colour class (a 1-wide grid) draws nothing
             energies = self.model.site_energies(labels, mask)
             if self._wants_current:
                 labels[mask] = self.sampler.sample_given_current(

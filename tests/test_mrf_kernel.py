@@ -9,11 +9,15 @@ large steady-state allocations.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.rsu
+import repro.mrf.kernel
 from repro.apps.common import make_backend
 from repro.core import (
     NoisyTTFSampler,
@@ -29,7 +33,15 @@ from repro.core import (
     use_lut,
 )
 from repro.core.rsu import RSUGSampler
-from repro.mrf import GeometricSchedule, GridMRF, MCMCSolver, SweepWorkspace, coloring_masks
+from repro.mrf import (
+    EnsembleSolver,
+    GeometricSchedule,
+    GridMRF,
+    MCMCSolver,
+    SweepWorkspace,
+    coloring_masks,
+)
+from repro.obs import telemetry as obs
 from repro.util.errors import ConfigError, DataError
 
 FULL_SCALE = 12.0
@@ -231,6 +243,105 @@ def test_workspace_class_energies_match_model():
         np.testing.assert_array_equal(
             workspace.class_energies(index)[0], model.site_energies(labels, mask)
         )
+
+
+#: One step of the incremental-energy property test.
+_STEP = st.one_of(
+    st.tuples(st.just("sweep"), st.sampled_from([0.05, 5.0])),
+    st.tuples(
+        st.just("edit"),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 99), st.integers(0, 4)),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    st.tuples(st.just("swap"), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+def test_incremental_class_energies_stay_exact():
+    """Cached energy rows equal a from-scratch evaluation after every
+    sweep, in-place label edit and chain swap, and both the rebuild-all
+    and the rebuild-rows branch run (also with rows split into blocks)."""
+    branches = {"full": 0, "rows": 0}
+
+    @settings(max_examples=40)
+    @given(
+        connectivity=st.sampled_from([4, 8]),
+        chains=st.sampled_from([1, 3]),
+        height=st.integers(2, 7),
+        width=st.integers(2, 7),
+        seed=st.integers(0, 2**16),
+        block_rows=st.sampled_from([3, repro.mrf.kernel._BLOCK_ROWS]),
+        steps=st.lists(_STEP, min_size=1, max_size=8),
+    )
+    def check(connectivity, chains, height, width, seed, block_rows, steps):
+        model = tiny_model(connectivity, seed, (height, width), n_labels=5)
+        masks = coloring_masks(model.shape, model.connectivity)
+        with mock.patch.object(repro.mrf.kernel, "_BLOCK_ROWS", block_rows):
+            workspace = SweepWorkspace(model, masks, chains)
+            run_steps(workspace, model, masks, chains, seed, steps)
+
+    def run_steps(workspace, model, masks, chains, seed, steps):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, model.n_labels, (chains,) + model.shape)
+        samplers = [make_backend("software", FULL_SCALE, seed=seed + k)
+                    for k in range(chains)]
+        workspace.bind(labels)
+        for op, *args in steps:
+            if op == "sweep":
+                workspace.sweep(labels, [args[0]] * chains, samplers,
+                                [False] * chains)
+            elif op == "edit":
+                flat = labels.reshape(chains, -1)
+                for chain, site, label in args[0]:
+                    flat[chain % chains, site % flat.shape[1]] = label
+                workspace.bind(labels)
+            elif chains > 1:
+                a, b = args
+                labels[[a, b]] = labels[[b, a]]
+                workspace.bind(labels)
+            for index, mask in enumerate(masks):
+                with obs.use_telemetry() as tel:
+                    block = workspace.class_energies(index)
+                if tel.value("energy.full_rebuilds"):
+                    branches["full"] += 1
+                elif tel.value("energy.rows_rebuilt"):
+                    branches["rows"] += 1
+                for k in range(chains):
+                    np.testing.assert_array_equal(
+                        block[k], model.site_energies(labels[k], mask)
+                    )
+                with pytest.raises(ValueError):
+                    block[...] = 0.0
+
+    check()
+    assert branches["full"] and branches["rows"], branches
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1)])
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("path", ["fused", "reference", "ensemble"])
+def test_grid_with_an_empty_colour_class_solves(path, connectivity, shape):
+    """A one-site or one-wide grid leaves some colour classes empty
+    (two of four at 8-connectivity); sweeps skip them."""
+    model = tiny_model(connectivity, shape=shape, n_labels=3)
+    schedule = GeometricSchedule(t0=2.0, rate=0.9)
+    if path == "ensemble":
+        solver = EnsembleSolver(
+            model, lambda k: make_backend("software", FULL_SCALE, seed=k),
+            schedule, chains=3,
+        )
+        grids = solver.run(4).chain_labels
+    else:
+        solver = MCMCSolver(
+            model, make_backend("software", FULL_SCALE, seed=1), schedule,
+            use_fused=path == "fused",
+        )
+        grids = solver.run(4).labels[None]
+    assert grids.shape[1:] == shape
+    assert grids.min() >= 0 and grids.max() < model.n_labels
 
 
 @pytest.mark.parametrize("chains", [1, 3])
