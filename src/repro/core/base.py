@@ -9,7 +9,7 @@ batch of conditionally independent sites, draw one label per site.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +34,23 @@ def record_sampler_batch(n_samples: int) -> None:
         tel.inc("sampler.samples", n_samples)
 
 
+class ActiveLanes(NamedTuple):
+    """The lanes of a dense stage block that can still fire.
+
+    A fused RSU-G stage fills its dense ``(..., n_labels)`` output and
+    hands the next stage the few lanes that matter: ``index`` lists
+    their flat positions in ``block`` in ascending order, ``values``
+    holds ``block.flat[index]``, and every other lane of ``block`` holds
+    ``rest`` (code 0 after conversion, the cut-off bin or ``+inf`` after
+    the TTF stage).
+    """
+
+    block: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
+    rest: object
+
+
 class SampleScratch:
     """Named pool of reusable work buffers for the fused sampling path.
 
@@ -44,12 +61,18 @@ class SampleScratch:
     that (name, shape, dtype) triple, allocating only on first use;
     steady-state calls are allocation-free.  Contents are *not* zeroed
     between calls — every consumer overwrites its buffer fully.
+
+    The pool also carries the :class:`ActiveLanes` one stage hands to
+    the next (:meth:`put_lanes` / :meth:`take_lanes`), so the TTF and
+    selection stages work on the lanes that can fire without scanning
+    the dense block their caller passes them.
     """
 
-    __slots__ = ("_buffers",)
+    __slots__ = ("_buffers", "_lanes")
 
     def __init__(self):
         self._buffers = {}
+        self._lanes = None
 
     def buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """The reusable buffer registered under ``name`` (allocate once)."""
@@ -59,6 +82,30 @@ class SampleScratch:
             buffer = np.empty(key[1], dtype=key[2])
             self._buffers[key] = buffer
         return buffer
+
+    def lane_ids(self, size: int) -> np.ndarray:
+        """``np.arange(size)`` as flat lane positions, built once per size."""
+        ids = self._buffers.get(("lane_ids", size))
+        if ids is None:
+            ids = self._buffers[("lane_ids", size)] = np.arange(size, dtype=np.intp)
+        return ids
+
+    def put_lanes(self, block: np.ndarray, index: np.ndarray, values, rest) -> None:
+        """Write a stage's dense output ``block`` — ``rest`` everywhere,
+        ``values`` at the flat positions ``index`` — and record those
+        lanes for the next stage."""
+        block.fill(rest)
+        if block.flags.c_contiguous:
+            block.reshape(-1)[index] = values
+        else:
+            block.flat[index] = values
+        self._lanes = ActiveLanes(block, index, values, rest)
+
+    def take_lanes(self, block: np.ndarray) -> Optional[ActiveLanes]:
+        """The lanes recorded for ``block`` itself, or ``None``; either
+        way the record is dropped, so it is read at most once."""
+        lanes, self._lanes = self._lanes, None
+        return lanes if lanes is not None and lanes.block is block else None
 
     @property
     def nbytes(self) -> int:
@@ -226,6 +273,7 @@ def select_first_to_fire_into(
     uniforms = None
     if tie_policy == "random":
         uniforms = scratch.buf("select_uniforms", ttf.shape, np.float64)
+        _record_tie_draw(ttf.size)
         rng.random(out=uniforms)
     return _select_into(ttf, tie_policy, uniforms, out, scratch, active_lanes)
 
@@ -252,9 +300,18 @@ def select_first_to_fire_chains_into(
     uniforms = None
     if tie_policy == "random":
         uniforms = scratch.buf("select_uniforms", ttf.shape, np.float64)
+        _record_tie_draw(ttf.size)
         for index, rng in enumerate(rngs):
             rng.random(out=uniforms[index])
     return _select_into(ttf, tie_policy, uniforms, out, scratch, active_lanes)
+
+
+def _record_tie_draw(n_uniforms: int) -> None:
+    """Telemetry hook: one ``random`` tie-break block of ``n_uniforms``."""
+    tel = obs.active()
+    if tel is not None:
+        tel.inc("entropy.uniforms", n_uniforms)
+        tel.inc("entropy.tie_draws", n_uniforms)
 
 
 def _record_selection(dense: bool, ordered_rows: int) -> None:
@@ -280,23 +337,20 @@ def _select_into(
     The reference keys every lane as ``ttf * n_labels + order`` (``order``
     a per-row permutation) and takes the row argmin.  A row whose minimum
     is unique wins there whatever the order, so only rows with more than
-    one lane at the minimum need the order at all:
+    one lane at the minimum need the order at all.  The fused TTF stage
+    hands over the lanes that can fire (:class:`ActiveLanes`; every other
+    lane sits at the cut-off bin or ``+inf``, behind every lane that
+    fires), and :func:`_select_lanes` resolves each row from those lanes
+    alone.  A direct caller's ``ttf`` comes with no such record, and then
+    every lane counts as one that can fire.
 
-    * ``first`` is the row's first ``argmin``; ``last`` on integer bins
-      its last ``argmin``;
-    * integer bins under ``random`` take the first ``argmin``, then only
-      the tied rows sort their uniforms and pick the tied lane of
-      smallest order;
-    * ``float_time`` TTFs tie only where every lane is ``+inf`` (a finite
-      tie goes to the first index, as in the reference), so only those
-      rows take the order under ``last``/``random``.
-
-    Finding the tied integer rows costs a few passes over the block.
     When more than half of the lanes are active (``active_lanes``), most
     rows tie — the legacy design without a cut-off ties on nearly all —
-    and the dense keys of the reference are cheaper, so ``random`` builds
-    those instead.  Both branches pick the same winners.
+    and the dense keys of the reference are cheaper, so ``random`` on
+    integer bins builds those instead.  Both branches pick the same
+    winners.
     """
+    lanes = scratch.take_lanes(ttf)
     if tie_policy not in TIE_POLICIES:
         raise DataError(f"unknown tie policy {tie_policy!r}")
     n_labels = ttf.shape[-1]
@@ -314,34 +368,91 @@ def _select_into(
         np.add(keys, order, out=keys)
         np.argmin(keys, axis=-1, out=out)
         return out
-    if tie_policy == "last" and integer:
-        _record_selection(False, 0)
-        np.argmin(ttf[..., ::-1], axis=-1, out=out)
-        return np.subtract(n_labels - 1, out, out=out)
-    np.argmin(ttf, axis=-1, out=out)
-    if tie_policy == "first":
-        _record_selection(False, 0)
-        return out
-    lanes = ttf.reshape(-1, n_labels)
-    row_min = lanes.reshape(-1)[
-        np.arange(0, ttf.size, n_labels) + out.reshape(-1)
-    ]
-    if integer:
-        at_min = scratch.buf("select_at_min", lanes.shape, np.bool_)
-        np.equal(lanes, row_min[:, None], out=at_min)
-        lanes_at_min = np.bincount(
-            np.flatnonzero(at_min) // n_labels, minlength=row_min.size
-        )
-        rows = np.flatnonzero(lanes_at_min > 1)
-    else:
-        rows = np.flatnonzero(np.isinf(row_min))
-    _record_selection(False, rows.size)
-    if rows.size:
+    if lanes is None:
+        lanes = ActiveLanes(ttf, np.arange(ttf.size), ttf.reshape(-1), None)
+    ordered = _select_lanes(ttf, lanes, tie_policy, out, scratch)
+    _record_selection(False, ordered.size)
+    if ordered.size:
+        # Every lane of an ordered row not at the row minimum ranks after
+        # every lane on it; the winner is the tied lane of smallest order.
+        rows = ttf.reshape(-1, n_labels)[ordered]
         if tie_policy == "random":
-            order = np.argsort(uniforms.reshape(-1, n_labels)[rows], axis=-1)
+            order = np.argsort(uniforms.reshape(-1, n_labels)[ordered], axis=-1)
         else:
             order = np.arange(n_labels - 1, -1, -1, dtype=np.int64)
-        # Lanes off the minimum rank after every lane on it.
-        keys = np.where(lanes[rows] == row_min[rows, None], order, n_labels)
-        out.flat[rows] = np.argmin(keys, axis=-1)
+        keys = np.where(rows == rows.min(axis=-1, keepdims=True), order, n_labels)
+        out.flat[ordered] = np.argmin(keys, axis=-1)
     return out
+
+
+def _select_lanes(
+    ttf: np.ndarray,
+    lanes: ActiveLanes,
+    tie_policy: str,
+    out: np.ndarray,
+    scratch: SampleScratch,
+) -> np.ndarray:
+    """Each row's winner from its listed lanes; returns the rows still to
+    be resolved by the tie order.
+
+    Integer bins: one ``np.minimum.at`` per row over ``bin * n_labels +
+    lane`` keys gives the row's minimum bin and its first lane there
+    (``first``); keys of ``bin * n_labels - lane`` give its last lane
+    there (``last``), and under ``random`` a row ties exactly when the
+    two differ.  A row with no listed lane keeps the key of its lane 0
+    (or its last lane) at ``lanes.rest``: all its lanes tie there.
+    Float times tie only at ``+inf``: a finite minimum goes to its first
+    lane, and the rows whose minimum is ``+inf`` are ordered under
+    ``last`` and ``random``.  On integer bins the per-lane arrays live
+    in ``scratch`` pools, so a call allocates nothing in proportion to
+    its lanes.
+    """
+    n_labels = ttf.shape[-1]
+    n_rows = ttf.size // n_labels
+    index, values = lanes.index, lanes.values
+    rows = scratch.buf("select_rows_pool", (ttf.size,), np.intp)[: index.size]
+    keys = scratch.buf("select_keys_pool", (ttf.size,), np.int64)[: index.size]
+    np.floor_divide(index, n_labels, out=rows)
+    no_rows = np.empty(0, dtype=np.intp)
+    if np.issubdtype(ttf.dtype, np.floating):
+        lane = np.subtract(index, rows * n_labels, out=keys)
+        low = np.full(n_rows, np.inf)
+        np.minimum.at(low, rows, values)
+        at_low = values == low[rows]
+        # A row without a listed lane keeps n_labels, i.e. lane 0.
+        first = np.full(n_rows, n_labels, dtype=np.intp)
+        np.minimum.at(first, rows[at_low], lane[at_low])
+        np.remainder(first.reshape(out.shape), n_labels, out=out)
+        if tie_policy == "first":
+            return no_rows
+        return np.flatnonzero(np.isinf(low))
+    # With no rest value every row lists all its lanes, so the start
+    # value is always replaced.
+    start = (
+        np.iinfo(np.int64).max if lanes.rest is None
+        else np.int64(lanes.rest) * n_labels
+    )
+    # index = row * n_labels + lane, so (bin - row) * n_labels + index is
+    # bin * n_labels + lane, and (bin + row) * n_labels - index is
+    # bin * n_labels - lane.
+    if tie_policy != "last":
+        np.subtract(values, rows, out=keys, dtype=np.int64)
+        keys *= n_labels
+        keys += index
+        first = np.full(n_rows, start, dtype=np.int64)
+        np.minimum.at(first, rows, keys)
+        np.remainder(first.reshape(out.shape), n_labels, out=out)
+        if tie_policy == "first":
+            return no_rows
+    np.add(values, rows, out=keys, dtype=np.int64)
+    keys *= n_labels
+    keys -= index
+    # The empty row's key is its last lane at the rest value.
+    last = np.full(n_rows, start - (n_labels - 1), dtype=np.int64)
+    np.minimum.at(last, rows, keys)
+    np.negative(last, out=last)
+    last %= n_labels
+    if tie_policy == "last":
+        np.copyto(out, last.reshape(out.shape), casting="unsafe")
+        return no_rows
+    return np.flatnonzero(out.reshape(-1) != last)

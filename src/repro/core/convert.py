@@ -118,6 +118,11 @@ def _conversion_lut(temperature: float, config: RSUConfig) -> np.ndarray:
     # Scaling is a per-row index shift applied by the caller, so the
     # table itself is always the unscaled conversion of each energy.
     table = lambda_codes(energies[None, :], temperature, config.with_(scaling=False))[0]
+    # exp, floor/rint, min and nearest_pow2 are all monotone, so codes
+    # never rise with energy: the nonzero entries are a prefix, and the
+    # fused conversion finds cut-off lanes with one boundary compare.
+    if np.any(table[1:] > table[:-1]):
+        raise ConfigError("conversion table must be non-increasing in energy")
     table.setflags(write=False)
     return table
 
@@ -174,33 +179,33 @@ def lambda_codes_lut_into(
     table: np.ndarray,
     config: RSUConfig,
     out: np.ndarray,
-    row_min: np.ndarray,
+    scratch,
 ) -> np.ndarray:
-    """Fused :func:`lambda_codes_lut`: gather through preallocated buffers.
+    """Fused :func:`lambda_codes_lut` over the lanes that can fire.
 
     ``table`` is the :func:`conversion_lut` for the target temperature
     (hoisted by the caller so one sweep fetches it once, not once per
-    colour class); ``row_min`` is an int64 ``(n_sites, 1)`` buffer for
-    the decay-rate-scaling row minima.  **Mutates** ``quantized_energy``
-    in place when ``config.scaling`` (the scaled index replaces the raw
-    one — callers on the fused path own that buffer and are done with
-    it).  Bit-identical to :func:`lambda_codes_lut` by construction:
-    scaling is the same integer index shift, the gather reads the same
-    table.
+    colour class); ``scratch`` is the fused pipeline's
+    :class:`~repro.core.base.SampleScratch`.  Bit-identical to
+    :func:`lambda_codes_lut`.
 
-    Unlike :func:`lambda_codes_lut` there is no explicit range scan:
-    the caller guarantees energies on the ``Energy_bits`` grid (the
-    :meth:`~repro.core.energy.EnergyStage.quantize_into` contract), and
-    the gather's own bounds checking still raises on any index at or
-    beyond the table size.
+    The table is non-increasing in energy, so its ``cut`` nonzero
+    entries are a prefix: a lane can fire exactly when
+    ``energy < row_min + cut`` (``row_min`` is 0 without decay-rate
+    scaling) — the comparison-based converter of Sec. IV-B.3 as one
+    compare against a per-chain boundary, once the scaling shift is
+    applied.  Only those lanes gather their code; ``out`` gets zeros
+    with the gathered codes scattered in, and the lanes are handed on
+    to the TTF stage through ``scratch``.  **Mutates**
+    ``quantized_energy`` in place when ``config.scaling`` (the scaled
+    energy replaces the raw one — callers on the fused path own that
+    buffer and are done with it).
+
+    The caller guarantees energies on the ``Energy_bits`` grid (the
+    :meth:`~repro.core.energy.EnergyStage.quantize_into` contract); there
+    is no range scan, and an energy above the grid reads as cut off.
     """
-    index = quantized_energy
-    if config.scaling:
-        np.amin(index, axis=1, keepdims=True, out=row_min)
-        np.subtract(index, row_min, out=index)
-    # Fancy gather + copy beats np.take(..., out=out) here: the mapiter
-    # fast path more than pays for the transient gather result.
-    np.copyto(out, table[index])
+    _convert_lanes(quantized_energy[None], table[None], config, out, scratch)
     return out
 
 
@@ -236,38 +241,71 @@ def lambda_codes_lut_stacked_into(
     table: np.ndarray,
     config: RSUConfig,
     out: np.ndarray,
-    row_min: np.ndarray,
+    scratch,
 ) -> np.ndarray:
     """Chain-batched :func:`lambda_codes_lut_into` over a stacked table.
 
     ``quantized_energy`` and ``out`` are ``(K, n_sites, n_labels)``;
     ``table`` is the :func:`stacked_conversion_lut` for the K chain
     temperatures (chain ``k`` owns the stride-``S`` slice starting at
-    ``k * S``); ``row_min`` is an int64 ``(K * n_sites, 1)`` buffer.
-    **Mutates** ``quantized_energy`` (scaling shift + chain offsets) —
-    fused callers own that buffer and are done with it.
-
-    Byte-identical to K per-chain :func:`lambda_codes_lut_into` calls:
-    the scaling row-minimum is taken within each row (chains never mix),
-    and index ``e`` of chain ``k`` reads ``table[k * S + e]`` — the same
-    entry the chain's own table holds.  As with the fused single-table
-    path the caller guarantees energies on the ``Energy_bits`` grid; an
-    out-of-grid index in any chain but the last would alias into the
-    next chain's slice rather than raise, which the
-    :meth:`~repro.core.energy.EnergyStage.quantize_into` contract rules
-    out.
+    ``k * S``), so each chain has its own ``cut``.  Byte-identical to K
+    per-chain :func:`lambda_codes_lut_into` calls: the scaling
+    row-minimum is taken within each row (chains never mix), and energy
+    ``e`` of chain ``k`` reads ``table[k * S + e]`` — the same entry the
+    chain's own table holds.  The same grid contract applies, and
+    ``quantized_energy`` is likewise scaled in place.
     """
     chains = quantized_energy.shape[0]
-    stride = table.size // chains
-    index = quantized_energy
-    flat = index.reshape(chains * index.shape[1], index.shape[2])
-    if config.scaling:
-        np.amin(flat, axis=1, keepdims=True, out=row_min)
-        np.subtract(flat, row_min, out=flat)
-    offsets = np.arange(chains, dtype=np.int64) * np.int64(stride)
-    np.add(index, offsets[:, None, None], out=index)
-    np.copyto(out.reshape(flat.shape), table[flat])
+    _convert_lanes(
+        quantized_energy, table.reshape(chains, -1), config, out, scratch
+    )
     return out
+
+
+def _convert_lanes(
+    energy: np.ndarray, tables: np.ndarray, config: RSUConfig, out: np.ndarray, scratch
+) -> None:
+    """The active-lane conversion of a ``(K, sites, labels)`` block
+    against ``(K, S)`` per-chain tables (see :func:`lambda_codes_lut_into`)."""
+    chains, sites, labels = energy.shape
+    if config.scaling:
+        rows = energy.reshape(chains * sites, labels)
+        np.subtract(rows, _row_minima(rows, scratch)[:, None], out=rows)
+        energy = rows.reshape(energy.shape)
+    # Chain k's lanes fire below its cut = count_nonzero(table k), i.e.
+    # at or below cut - 1, which (unlike cut) fits the energy dtype.
+    last_active = np.count_nonzero(tables, axis=1) - 1
+    active = scratch.buf("convert_active", energy.shape, np.bool_)
+    np.less_equal(energy, last_active.astype(energy.dtype)[:, None, None], out=active)
+    # The flat indices of the active lanes, compressed into a reused
+    # pool: a fresh per-call array this size makes glibc map and fault
+    # new pages on every call.
+    size = energy.size
+    index = scratch.buf("convert_index_pool", (size,), np.intp)[
+        : np.count_nonzero(active)
+    ]
+    np.compress(active.reshape(-1), scratch.lane_ids(size), out=index)
+    lane_energy = np.take(energy.reshape(-1), index)
+    if chains > 1:
+        # Chain k reads its own table, the stride-S slice at k * S.
+        offset = scratch.buf("convert_offset_pool", (size,), np.intp)[: index.size]
+        np.floor_divide(index, sites * labels, out=offset)
+        offset *= tables.shape[1]
+        lane_energy = np.add(offset, lane_energy, out=offset)
+    codes = np.take(tables.astype(out.dtype, copy=False).reshape(-1), lane_energy)
+    scratch.put_lanes(out, index, codes, 0)
+
+
+def _row_minima(energy: np.ndarray, scratch) -> np.ndarray:
+    """Row minima of a 2-D block.
+
+    A reduction along a short contiguous row pays per row; one
+    transposed copy makes it a single pass down the columns.
+    """
+    transposed = scratch.buf("convert_transposed", energy.shape[::-1], energy.dtype)
+    np.copyto(transposed, energy.T)
+    row_min = scratch.buf("convert_row_min", energy.shape[:1], energy.dtype)
+    return np.minimum.reduce(transposed, axis=0, out=row_min)
 
 
 def boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:

@@ -65,7 +65,9 @@ class EnergyStage:
 
         ``work`` is a float64 buffer of the same shape as ``energies``
         (left holding the clipped grid values); ``out`` receives the
-        int64 result.  Bit-identical to :meth:`quantize`: the same
+        grid values in its own integer dtype — any one wide enough for
+        the grid, such as the fused RSU-G path's ``uint8`` for 8-bit
+        energies.  The same values as :meth:`quantize`: the same
         scale-round-clamp chain, run in place.
         """
         np.copyto(out, self._grid_values(energies, work), casting="unsafe")

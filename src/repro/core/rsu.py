@@ -18,11 +18,15 @@ The 2-D path and its 2-D stage functions (``TTFSampler.sample_into``,
 because the benchmark's traced run wraps them by name to time the
 RSU-G stages of a single-chain solve.  The fused paths chain
 quantize -> LUT gather -> TTF -> first-to-fire through reusable
-workspace buffers.  The TTF stage returns how many lanes are
-active (nonzero code); selection uses it to choose between sorting the
-tie-break uniforms of only the tied rows (at most half the lanes
-active) and the dense keys (most lanes active, most rows tied).  A NaN
-energy raises :class:`~repro.util.errors.DataError` on every path.
+workspace buffers.  The conversion finds the lanes that can fire (a
+nonzero code) with one boundary compare, and the TTF and selection
+stages work on those lanes alone; each stage still leaves its dense,
+narrow-dtype block as the boundary the next stage is called with.  The
+TTF stage returns how many lanes are active; selection uses it to
+choose between resolving rows from their active lanes (at most half
+the lanes active) and the dense keys (most lanes active, most rows
+tied).  A NaN energy raises :class:`~repro.util.errors.DataError` on
+every path.
 """
 
 from __future__ import annotations
@@ -169,34 +173,45 @@ class RSUGSampler(SamplerBackend):
         temperature = float(temperature)
         t_grid, table = self._stage_constants(temperature)
         shape = energies.shape
+        quantized, codes, ttf = self._stage_buffers(shape, scratch)
         work = scratch.buf("rsu_quantize_work", shape, np.float64)
-        quantized = scratch.buf("rsu_quantized", shape, np.int64)
         self.energy_stage.quantize_into(energies, quantized, work)
-        codes = scratch.buf("rsu_codes", shape, np.int64)
         if table is not None:
-            row_min = scratch.buf("rsu_row_min", (shape[0], 1), np.int64)
-            lambda_codes_lut_into(quantized, table, self.config, codes, row_min)
+            lambda_codes_lut_into(quantized, table, self.config, codes, scratch)
         else:
-            np.copyto(codes, lambda_codes(quantized, t_grid, self.config))
-        ttf = scratch.buf("rsu_ttf", shape, self._ttf_dtype(shape[1]))
+            np.copyto(
+                codes, lambda_codes(quantized, t_grid, self.config), casting="unsafe"
+            )
         active_lanes = self._ttf.sample_into(codes, ttf, scratch)
         return select_first_to_fire_into(
             ttf, self.config.tie_policy, self._rng, out, scratch,
             active_lanes=active_lanes,
         )
 
-    def _ttf_dtype(self, n_labels: int):
-        """Output dtype of the fused TTF stage.
+    def _stage_buffers(self, shape: tuple, scratch: SampleScratch):
+        """The dense stage boundaries: quantized energies, decay-rate
+        codes and TTFs, each in the narrowest dtype that holds it.
 
-        Bins and selection keys are tiny integers; the integer stages
-        run in int32 when ``ttf * n_labels + order`` provably fits —
-        half the memory traffic, identical values, so the selected
-        labels are unchanged.
+        Energies and codes are small unsigned integers (``Energy_bits``
+        and ``Lambda_bits`` wide).  TTF bins are signed and sized so the
+        dense selection keys ``ttf * n_labels + order`` fit as well.
+        Narrow blocks cut the memory traffic of every dense fill and
+        compare; the values, and so the selected labels, are unchanged.
         """
-        if self.config.float_time:
-            return np.float64
-        key_bound = (self.config.time_bins + 2 + 1) * n_labels
-        return np.int32 if key_bound < 2**31 else np.int64
+        config = self.config
+        quantized = scratch.buf(
+            "rsu_quantized", shape, np.min_scalar_type(self.energy_stage.grid_max)
+        )
+        codes = scratch.buf("rsu_codes", shape, np.min_scalar_type(config.lambda_max_code))
+        if config.float_time:
+            ttf_dtype = np.float64
+        else:
+            key_bound = (config.time_bins + 2 + 1) * shape[-1]
+            ttf_dtype = next(
+                dtype for dtype in (np.int8, np.int16, np.int32, np.int64)
+                if key_bound <= np.iinfo(dtype).max
+            )
+        return quantized, codes, scratch.buf("rsu_ttf", shape, ttf_dtype)
 
     @classmethod
     def sample_chains_into(
@@ -211,12 +226,12 @@ class RSUGSampler(SamplerBackend):
 
         quantize -> λ-LUT gather -> TTF -> first-to-fire, each stage run
         once over the stacked block with one RNG stream per chain.  The
-        energy quantization is elementwise; the LUT gather uses the
-        shared table when every chain sits at one grid temperature
-        (ensembles) and a :func:`stacked_conversion_lut` with per-chain
-        index offsets when the ladder differs (tempering); the TTF and
-        selection stages fill per-chain entropy slabs and batch the
-        rest.  Byte-identical to K sequential :meth:`sample_into` calls.
+        energy quantization is elementwise; the active lanes gather
+        their codes from a :func:`stacked_conversion_lut` with per-chain
+        offsets (one table slice per chain temperature, so a tempering
+        ladder has a cut-off per chain); the TTF and selection stages
+        fill per-chain entropy slabs and batch the rest.  Byte-identical
+        to K sequential :meth:`sample_into` calls.
 
         Chains whose design points differ — different config, energy
         stage, replaced TTF stage, or mixed LUT switches — fall back to
@@ -252,37 +267,23 @@ class RSUGSampler(SamplerBackend):
                 samplers, energies, temperatures, out, scratch
             )
         shape = energies.shape
-        flat_rows = shape[0] * shape[1]
-        record_sampler_batch(flat_rows)
+        record_sampler_batch(shape[0] * shape[1])
+        quantized, codes, ttf = first._stage_buffers(shape, scratch)
         work = scratch.buf("rsu_quantize_work", shape, np.float64)
-        quantized = scratch.buf("rsu_quantized", shape, np.int64)
         first.energy_stage.quantize_into(energies, quantized, work)
-        codes = scratch.buf("rsu_codes", shape, np.int64)
         t_grids = [t_grid for t_grid, _ in constants]
         if constants[0][1] is not None:
-            row_min = scratch.buf("rsu_row_min", (flat_rows, 1), np.int64)
-            if all(t_grid == t_grids[0] for t_grid in t_grids):
-                # One grid temperature (multi-seed ensembles): every
-                # chain gathers from the same memoized table, so the
-                # whole block flattens to one 2-D gather.
-                lambda_codes_lut_into(
-                    quantized.reshape(flat_rows, shape[2]),
-                    constants[0][1],
-                    first.config,
-                    codes.reshape(flat_rows, shape[2]),
-                    row_min,
-                )
-            else:
-                table = stacked_conversion_lut(t_grids, first.config)
-                lambda_codes_lut_stacked_into(
-                    quantized, table, first.config, codes, row_min
-                )
+            table = stacked_conversion_lut(t_grids, first.config)
+            lambda_codes_lut_stacked_into(
+                quantized, table, first.config, codes, scratch
+            )
         else:
             for index, t_grid in enumerate(t_grids):
                 np.copyto(
-                    codes[index], lambda_codes(quantized[index], t_grid, first.config)
+                    codes[index],
+                    lambda_codes(quantized[index], t_grid, first.config),
+                    casting="unsafe",
                 )
-        ttf = scratch.buf("rsu_ttf", shape, first._ttf_dtype(shape[2]))
         active_lanes = TTFSampler.sample_chains_into(
             [sampler._ttf for sampler in samplers], codes, ttf, scratch
         )

@@ -117,14 +117,13 @@ class TTFSampler:
 
         The entropy block is prefetched straight into a reusable buffer
         (``rng.random(out=...)`` draws the identical variates in the
-        identical order as ``rng.random(shape)``), the active lanes are
-        compressed into workspace views with ``np.compress(..., out=)``
-        (so cut-off lanes do no transcendental work — typically >80 % of
-        lanes late in an annealed solve), and the results scatter back
-        with ``np.place``.  Steady-state calls perform zero allocations.
+        identical order as ``rng.random(shape)``); then only the active
+        lanes — handed over by the fused conversion stage, or found in
+        ``codes`` — gather their uniforms into workspace pools, so
+        cut-off lanes (over 90 % of lanes in an annealed solve) do no
+        work at all (see :func:`_finish_fused_sample`).
         """
-        if codes.size and codes.min() < 0:
-            raise ConfigError("decay-rate codes must be non-negative")
+        _check_codes(codes)
         _record_ttf_draw(codes.size)
         uniforms = scratch.buf("ttf_uniforms", codes.shape, np.float64)
         self._rng.random(out=uniforms)
@@ -146,8 +145,7 @@ class TTFSampler:
         is elementwise/compress work and therefore byte-identical to K
         sequential :meth:`sample_into` calls.
         """
-        if codes.size and codes.min() < 0:
-            raise ConfigError("decay-rate codes must be non-negative")
+        _check_codes(codes)
         _record_ttf_draw(codes.size)
         uniforms = scratch.buf("ttf_uniforms", codes.shape, np.float64)
         for index, sampler in enumerate(ttf_samplers):
@@ -165,6 +163,13 @@ class TTFSampler:
         return math.exp(-code * self.config.lambda0_per_bin * self.config.time_bins)
 
 
+def _check_codes(codes: np.ndarray) -> None:
+    """Reject negative codes; an unsigned block (the fused pipeline's)
+    cannot hold one, so only signed input pays the scan."""
+    if codes.dtype.kind != "u" and codes.size and codes.min() < 0:
+        raise ConfigError("decay-rate codes must be non-negative")
+
+
 def _finish_fused_sample(
     cfg: RSUConfig,
     codes: np.ndarray,
@@ -174,25 +179,31 @@ def _finish_fused_sample(
 ) -> int:
     """Shared binning tail of the fused TTF paths (post-uniform-fill).
 
-    Operates on arrays of any shape — the single-chain ``(sites, labels)``
-    matrix and the chain-batched ``(K, sites, labels)`` block flow
-    through identical flat/elementwise ops (mask, compress pools, place),
-    so stacking chains cannot change any bin.  Returns the active-lane
-    count it compresses by.
+    Only the active (nonzero-code) lanes do any work.  They come from
+    the conversion stage's :class:`~repro.core.base.ActiveLanes` record
+    for ``codes`` when there is one, else from one scan of ``codes``.
+    Their uniforms are gathered and binned with the reference's op
+    chain, op for op; ``out`` then holds the cut-off value with the
+    active bins scattered in, and the same lanes, now holding their
+    bins, are handed on to selection.  Any shape works — the
+    single-chain ``(sites, labels)`` matrix and the chain-batched
+    ``(K, sites, labels)`` block take identical flat ops, so stacking
+    chains cannot change any bin.  Returns the active-lane count.
     """
-    active = scratch.buf("ttf_active_mask", codes.shape, np.bool_)
-    np.greater(codes, 0, out=active)
-    n_active = int(np.count_nonzero(active))
-    mask_flat = active.reshape(-1)
-    # Compressed views over preallocated max-size pools: only the
-    # first n_active lanes of each are touched.
+    lanes = scratch.take_lanes(codes)
+    if lanes is None:
+        index = np.flatnonzero(codes)
+        active_codes = np.take(codes.reshape(-1), index)
+    else:
+        index, active_codes = lanes.index, lanes.values
+    n_active = index.size
+    # Views over preallocated max-size pools: only the first n_active
+    # lanes of each are touched.
     size = codes.size
     rates = scratch.buf("ttf_rates_pool", (size,), np.float64)[:n_active]
     work = scratch.buf("ttf_work_pool", (size,), np.float64)[:n_active]
-    active_codes = scratch.buf("ttf_codes_pool", (size,), np.int64)[:n_active]
-    np.compress(mask_flat, codes.reshape(-1), out=active_codes)
-    np.multiply(active_codes, cfg.lambda0_per_bin, out=rates)
-    np.compress(mask_flat, uniforms.reshape(-1), out=work)
+    np.multiply(active_codes, cfg.lambda0_per_bin, out=rates, dtype=np.float64)
+    np.take(uniforms.reshape(-1), index, out=work)
     # work = -log1p(-u) / rate: the same op chain, op for op, as the
     # reference's compressed computation.
     np.negative(work, out=work)
@@ -200,8 +211,7 @@ def _finish_fused_sample(
     np.negative(work, out=work)
     np.divide(work, rates, out=work)
     if cfg.float_time:
-        out.fill(np.inf)
-        np.place(out, active, work)
+        scratch.put_lanes(out, index, work, np.inf)
         return n_active
     np.ceil(work, out=work)
     if cfg.clamp_to_tmax:
@@ -212,8 +222,7 @@ def _finish_fused_sample(
         work[late] = float(no_sample_bin(cfg))
     bins = scratch.buf("ttf_bins_pool", (size,), out.dtype)[:n_active]
     np.copyto(bins, work, casting="unsafe")
-    out.fill(cutoff_bin(cfg))
-    np.place(out, active, bins)
+    scratch.put_lanes(out, index, bins, cutoff_bin(cfg))
     return n_active
 
 

@@ -536,6 +536,8 @@ class ResilientDriver(RSUDriver):
         unary_flat = self._unary3d.reshape(-1, m)
         for mask in self._masks:
             rows, cols = np.nonzero(mask)
+            if not rows.size:
+                continue  # an empty colour class (a 1x1 grid) draws nothing
             sites = np.flatnonzero(mask.ravel())
             neighbors = np.full((len(sites), 4), m, dtype=np.int64)
             for position, (dy, dx) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):

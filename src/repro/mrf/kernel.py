@@ -89,7 +89,6 @@ class _ClassPlan:
         "energies_view",
         "labels_out",
         "current",
-        "scratch",
     )
 
     def __init__(
@@ -154,7 +153,6 @@ class _ClassPlan:
         self.energies_view.flags.writeable = False
         self.labels_out = np.empty((n_chains, n), dtype=np.intp)
         self.current = np.empty(n, dtype=np.int64)
-        self.scratch = SampleScratch()
 
 
 class SweepWorkspace:
@@ -164,7 +162,8 @@ class SweepWorkspace:
     tensor, the per-colour-class flat gather indices (spanning the chain
     axis), the constant unary gathers, and every reusable output buffer
     (energies, quantized codes, lambda codes, TTF bins, selection keys —
-    the latter via each class's :class:`~repro.core.base.SampleScratch`).
+    the latter via one :class:`~repro.core.base.SampleScratch` that every
+    colour class shares).
 
     :meth:`sweep` keeps the mirror in sync incrementally (scattering
     only the resampled sites), and :meth:`bind` resynchronizes it
@@ -199,6 +198,10 @@ class SweepWorkspace:
         )
         self._padded_flat = self._padded.reshape(-1)
         self._interior = self._padded[:, 1:-1, 1:-1]
+        # Colour classes are sampled one after another and no sampler
+        # keeps scratch contents between calls, so every class shares one
+        # pool: equal-sized classes share every buffer.
+        self._scratch = SampleScratch()
         self._classes: List[_ClassPlan] = [
             _ClassPlan(model, mask, w + 2, n_chains) for mask in masks
         ]
@@ -214,10 +217,10 @@ class SweepWorkspace:
                 "site_flat", "pad_flat", "gather_idx", "unary", "neighbors",
                 "built_from", "changed", "stale", "pair", "energies", "labels_out",
                 "current",
-            )) + plan.scratch.nbytes
+            ))
             for plan in self._classes
         )
-        return per_class + self._padded.nbytes
+        return per_class + self._scratch.nbytes + self._padded.nbytes
 
     def bind(self, labels: np.ndarray) -> None:
         """Synchronize the padded mirrors with ``labels`` (full copy).
@@ -351,7 +354,7 @@ class SweepWorkspace:
             if batched:
                 type(samplers[0]).sample_chains_into(
                     list(samplers), energies, temperatures, plan.labels_out,
-                    plan.scratch,
+                    self._scratch,
                 )
             else:
                 for k, sampler in enumerate(samplers):
@@ -363,7 +366,7 @@ class SweepWorkspace:
                     else:
                         sampler.sample_into(
                             energies[k], temperatures[k], plan.labels_out[k],
-                            plan.scratch,
+                            self._scratch,
                         )
             new_labels = plan.labels_out.reshape(-1)
             labels_flat[plan.site_flat] = new_labels

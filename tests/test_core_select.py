@@ -186,6 +186,26 @@ def test_batched_ensemble_matches_reference_solvers_on_both_branches():
         np.testing.assert_array_equal(batched.chain_labels[index], solo.labels)
 
 
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("policy, per_lane", [("random", 2), ("first", 1)])
+def test_metered_uniforms_count_every_block_drawn(policy, per_lane, chains):
+    # One TTF uniform per lane, plus one tie-break uniform per lane under
+    # ``random``: entropy.uniforms must count both blocks.
+    config = new_design_config().with_(tie_policy=policy)
+
+    def factory(index):
+        return make_backend("rsu", FULL_SCALE, seed=100 + index, config=config)
+
+    with obs.use_telemetry() as tel:
+        EnsembleSolver(
+            tiny_model(), factory, GeometricSchedule(1.0, 0.85), chains=chains, seed=7
+        ).run(10)
+    lanes = tel.value("sampler.samples") * tiny_model().n_labels
+    assert lanes == chains * 10 * 12 * 14 * 6
+    assert tel.value("entropy.uniforms") == per_lane * lanes
+    assert tel.value("entropy.tie_draws") == (per_lane - 1) * lanes
+
+
 # ---------------------------------------------------------------------------
 # NaN energies
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ class TestPersistentFaults:
                 policy=policy,
             )
 
+    def test_software_fallback_skips_an_empty_colour_class(self):
+        """A 1x1 grid's second checkerboard class is empty; the software
+        fallback sweep must skip it, not hand the sampler zero sites."""
+        unary = np.array([[[5, 0, 7, 9]]])
+        device = FaultyRSUDevice(
+            NEW, np.random.default_rng(9),
+            plan=units_plan(n_units=1, spare_units=0, dead_units=(0,), seed=27),
+        )
+        driver = ResilientDriver(device, unary, CONFIGURE)
+        labels = driver.solve(25, TEMPERATURES)
+        assert driver.fell_back
+        assert labels.shape == (1, 1) and 0 <= labels[0, 0] < 4
+
 
 class TestWireFaults:
     def test_corrupted_transfers_are_retried(self):
